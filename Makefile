@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify depend-race kernels-race metrics-smoke serve-smoke profile-smoke mpi-smoke mpi-race bench bench-compare bench-report bench-gate trace clean
+.PHONY: build test race vet verify depend-race kernels-race metrics-smoke serve-smoke profile-smoke mpi-smoke mpi-race bench bench-compare bench-report bench-gate benchmark trace clean
 
 build:
 	$(GO) build ./...
@@ -92,17 +92,22 @@ depend-race:
 	  ./internal/rt/
 	$(GO) test -race -count=1 -timeout 180s -run='TestTask|TestCancel' ./omp/
 
-# kernels-race is the compiled-kernel differential gate: the static
-# partition differential, the schedule-selection and escape-hatch
-# matrix, the kernel flow-semantics tests and the benchmark-level
+# kernels-race is the typed-loop-IR and compiled-kernel differential
+# gate: the static partition differential, the schedule-selection and
+# escape-hatch matrix, the kernel flow-semantics tests, the seeded
+# loop-nest differential (IR vs kernels off vs interp, results compared
+# by Float64bits, faults by type, message and line), the declaration
+# trust table, the stale-view and budget-poll regressions, the paper
+# programs' IR-coverage assertion and the benchmark-level
 # kernels-on/off/interp matrix run under the race detector with the
-# test cache defeated. A kernel that reads stale hoisted storage or
-# races the bridge on a mixed loop shows up here as a data race or a
-# diverging checksum.
+# test cache defeated. An IR loop that reads stale hoisted
+# storage, races the bridge on a mixed loop or outlives its quota shows
+# up here as a data race, a diverging checksum or a hung test.
 kernels-race:
 	$(GO) test -race -count=1 -timeout 180s -run='TestStaticBounds|TestReduceSlot' ./internal/rt/
-	$(GO) test -race -count=1 -timeout 180s -run='TestKernel' ./internal/compile/
+	$(GO) test -race -count=1 -timeout 300s -run='TestKernel|TestIR|TestDeclarationTrust|TestPaperLoopsRunAsIR' ./internal/compile/
 	$(GO) test -race -count=1 -timeout 300s -run='TestKernelDifferentialMatrix' ./internal/bench/
+	$(GO) test -race -count=1 -timeout 120s -run='TestCompiledQuotaKill' ./internal/serve/
 
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkFig5 -benchtime=1x ./...
@@ -140,6 +145,14 @@ bench-report:
 # gate function in cmd/omp4go-report).
 bench-gate:
 	$(GO) run ./cmd/omp4go-report -maxthreads 4 -reps 3 -json "" -gate BENCH_report.json fig5 fig6
+
+# benchmark runs one workload of the layered benchmark (BENCHMARK.json,
+# benchmark/README.md) the way the driver does, with the per-layer
+# metrics and a Chrome trace: make benchmark W=paper-dt. Workloads:
+# paper-dt paper-interp sched-dyn rt-fine cold-load serve-closed mpi-tcp.
+W ?= paper-dt
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 12 --trace 1
 
 # trace produces the demo Chrome trace (load in chrome://tracing or
 # ui.perfetto.dev).

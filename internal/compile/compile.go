@@ -15,6 +15,7 @@ package compile
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/omp4go/omp4go/internal/interp"
 	"github.com/omp4go/omp4go/internal/minipy"
@@ -29,12 +30,12 @@ type Options struct {
 	// module-level function, as passing the whole module through
 	// Cython does.
 	Only map[string]bool
-	// Kernels selects whether transform-lowered worksharing loops
-	// with compile-time-known static schedules compile to
-	// runtime-aware kernels (rt.StaticBounds iteration, hoisted list
-	// storage) instead of the per-chunk interp bridge. The default
-	// KernelsAuto consults the runtime's OMP4GO_COMPILE_KERNELS ICV
-	// at Install time; kernels additionally require Typed.
+	// Kernels selects whether annotated loop nests compile to the
+	// typed loop IR, and worksharing loops with compile-time-known
+	// static schedules to kernels that iterate rt.StaticBounds,
+	// instead of the closure chain and the per-chunk interp bridge.
+	// The default KernelsAuto consults the OMP4GO_COMPILE_KERNELS ICV
+	// at Install time; both additionally require Typed.
 	Kernels KernelMode
 }
 
@@ -45,10 +46,12 @@ const (
 	// KernelsAuto defers to rt.Runtime.CompiledKernelsEnabled (the
 	// OMP4GO_COMPILE_KERNELS ICV, default on).
 	KernelsAuto KernelMode = iota
-	// KernelsOn forces kernel compilation (still requires Typed).
+	// KernelsOn forces IR and kernel compilation (still requires
+	// Typed).
 	KernelsOn
-	// KernelsOff forces every worksharing loop onto the interp
-	// bridge, the differential baseline for kernel validation.
+	// KernelsOff compiles every loop to the closure chain and every
+	// worksharing loop onto the interp bridge: the differential
+	// baseline the IR is validated against.
 	KernelsOff
 )
 
@@ -56,11 +59,11 @@ const (
 // interpreter so their function objects execute compiled code. Call
 // it after transformation and before interp.RunModule.
 func Install(in *interp.Interp, mod *minipy.Module, opts Options) error {
-	c := &compiler{in: in, opts: opts, table: make(map[*minipy.FuncDef]*funcCode)}
-	// The kernel decision is made once, here: the escape hatch is an
-	// ICV (environment or rt.Runtime.SetCompiledKernels), read before
-	// any function compiles. Toggling the ICV after Install does not
-	// re-lower already-compiled loops.
+	c := &compiler{in: in, opts: opts, table: make(map[*minipy.FuncDef]*funcCode), noLower: make(map[minipy.Stmt]bool)}
+	// The IR/kernel decision is made once, here: the escape hatch is
+	// an ICV (environment or rt.Runtime.SetCompiledKernels), read
+	// before any function compiles. Toggling the ICV after Install does
+	// not re-lower already-compiled loops.
 	switch opts.Kernels {
 	case KernelsOn:
 		c.kernels = opts.Typed
@@ -96,6 +99,14 @@ type compiler struct {
 	opts    Options
 	kernels bool // resolved kernel switch (Typed && mode/ICV)
 	table   map[*minipy.FuncDef]*funcCode
+	// lazyMu serializes the closure forms built after Install, when an
+	// IR loop first fails an entry guard (see lazy).
+	lazyMu sync.Mutex
+	// noLower are loops the lowering of an enclosing nest already found
+	// inexpressible as IR; irCode and irPos are its scratch buffers.
+	noLower map[minipy.Stmt]bool
+	irCode  []irInst
+	irPos   []minipy.Position
 }
 
 // Frame is one activation of a compiled function.
@@ -107,10 +118,15 @@ type Frame struct {
 	f     []float64
 	i     []int64
 	ret   interp.Value
-	// kern is non-nil only while a compiled loop kernel in this frame
-	// executes; it holds the hoisted unboxed list storage the kernel's
-	// body closures index directly (kernel.go).
-	kern *kernelEnv
+	// f and i double as the register files of the typed loop IR
+	// (ir.go): named slots first, then each function's IR temporaries.
+	// fv/iv are the list storage views an IR loop hoisted at entry,
+	// fault is where a failing IR instruction leaves its error, and
+	// poll counts loop back-edges down to the next budget charge.
+	fv    [][]float64
+	iv    [][]int64
+	fault error
+	poll  int32
 }
 
 // flow is the statement outcome: sequential, break, continue, or
@@ -183,6 +199,7 @@ func (code *funcCode) entry(defFrame *Frame, fnVal *interp.Function) func(*inter
 		fr := &Frame{
 			th:   th,
 			free: free,
+			poll: pollStride,
 		}
 		if code.nSlots > 0 {
 			fr.slots = make([]interp.Value, code.nSlots)

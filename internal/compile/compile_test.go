@@ -540,7 +540,7 @@ def f(n: int, w: float):
 		t.Fatal(err)
 	}
 	fd := mod.Body[0].(*minipy.FuncDef)
-	types := inferTypes(fd.Params, fd.Body)
+	types := inferTypes(fd.Params, fd.Body, minipy.AnalyzeScope(fd.Params, fd.Body).IsLocal)
 	want := map[string]valType{
 		"n": tInt, "w": tFloat, "i": tInt, "x": tFloat, "y": tFloat,
 		"s": tBoxed, "acc": tInt, "k": tInt, "mixed": tBoxed,

@@ -34,38 +34,44 @@ import (
 // LoopBounds value is stored into the bounds variable so for_end's
 // bridge call (one per loop) finds it.
 //
-// While the kernel body runs, the storage of lists that the body only
-// ever subscripts is hoisted once into a kernelEnv of raw
-// []float64/[]int64 slices, the analogue of Cython acquiring a
-// memoryview before a nogil loop: element access compiles to a single
-// bounds-checked slice index (texpr.go's hoisted paths). The same
-// assumption Cython makes — the buffer is not reallocated or
-// re-typed mid-loop — applies; names that appear in any non-subscript
-// position (append calls, rebinding, argument passing) are never
-// hoisted, and a storage-kind mismatch at entry simply leaves the
-// slot nil so every access falls back to the boxed protocol.
+// The loop itself is one loopForm (below): the typed loop IR when the
+// nest lowers (ir.go, irlower.go) — each claimed chunk is then one
+// irProg.run over [Lo, Hi) with list storage hoisted into views for
+// the whole kernel, the analogue of Cython acquiring a memoryview
+// before a nogil loop — and otherwise the closure chain, one body call
+// per iteration, exactly as a serial loop would compile.
 
-// kernelEnv is the per-execution hoisted storage. Slot j holds the
-// unboxed backing of the j-th hoisted list in whichever slice matches
-// its storage kind (the other stays nil; generic-kind lists leave
-// both nil).
-type kernelEnv struct {
-	f [][]float64
-	i [][]int64
+// loopForm is the one compiled form of a range loop: the IR program
+// of the whole loop, with the closure form of its body built only if
+// an entry guard ever fails, or just the closure body when the loop
+// does not lower.
+type loopForm struct {
+	prog  *irProg
+	bodyf stmtFn
+	slow  func() (stmtFn, error)
 }
 
-// hoistIndex reports the kernelEnv slot of x when x is a plain name
-// the active kernel hoists.
-func (sc *scopeCtx) hoistIndex(x minipy.Expr) (int, bool) {
-	if sc.hoist == nil {
-		return 0, false
+func (c *compiler) loopBody(sc *scopeCtx, loop *minipy.For) (*loopForm, error) {
+	if c.kernels {
+		if p := c.lowerLoop(sc, loop); p != nil {
+			return &loopForm{prog: p, slow: c.lazy(sc, loop.Body)}, nil
+		}
 	}
-	n, ok := x.(*minipy.Name)
-	if !ok {
-		return 0, false
+	f, err := c.compileStmts(sc, loop.Body)
+	return &loopForm{bodyf: f}, err
+}
+
+// enter picks the form for one execution of the loop: nil means the
+// IR program's guards hold and prog.run is next, otherwise it is the
+// closure body to drive per iteration.
+func (lf *loopForm) enter(fr *Frame) (stmtFn, error) {
+	switch {
+	case lf.prog == nil:
+		return lf.bodyf, nil
+	case lf.prog.enter(fr):
+		return nil, nil
 	}
-	hi, ok := sc.hoist[n.ID]
-	return hi, ok
+	return lf.slow()
 }
 
 // ompCallTo matches e as a call to the generated-code runtime entry
@@ -243,27 +249,12 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 		return nil, 0, err
 	}
 	storeB := sc.store(bName.ID)
-
-	// Hoist analysis + body compilation under the hoist table. The
-	// loop body never sees the bounds variable (checked above), so the
-	// table is scoped to exactly this compilation.
-	hoistNames := kernelHoistCandidates(sc, loop.Body)
-	hoist := make(map[string]int, len(hoistNames))
-	loaders := make([]exprFn, len(hoistNames))
-	for j, name := range hoistNames {
-		hoist[name] = j
-		loaders[j] = sc.load(name, pos)
-	}
-	prevHoist := sc.hoist
-	sc.hoist = hoist
-	bodyf, err := c.compileStmts(sc, loop.Body)
-	sc.hoist = prevHoist
+	form, err := c.loopBody(sc, loop)
 	if err != nil {
 		return nil, 0, err
 	}
 
 	nowait := nowaitLit.V
-	nHoist := len(hoistNames)
 	kf := func(fr *Frame) (flow, error) {
 		start, err := startf(fr)
 		if err != nil {
@@ -299,28 +290,22 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 			start, stop, step, chunk)
 		ctx.KernelEnter(it.Total(), chunk)
 
-		env := &kernelEnv{}
-		if nHoist > 0 {
-			env.f = make([][]float64, nHoist)
-			env.i = make([][]int64, nHoist)
-			for j, load := range loaders {
-				v, err := load(fr)
-				if err != nil {
-					continue // unbound: body access raises on the slow path
-				}
-				if l, ok := v.(*interp.List); ok {
-					if fs, ok := l.FloatData(); ok {
-						env.f[j] = fs
-					} else if is, ok := l.IntData(); ok {
-						env.i[j] = is
-					}
-				}
-			}
+		bodyf, err := form.enter(fr)
+		if err != nil {
+			return flowNext, err
 		}
-		fr.kern = env
-		defer func() { fr.kern = nil }()
-
 		for it.Next() {
+			if bodyf == nil {
+				// Bridge semantics hold in the IR too: break leaves the
+				// chunk's loop and the next chunk is claimed; return
+				// skips the remaining lowered statements, for_end
+				// included.
+				fl, err := form.prog.run(fr, start+it.Lo*step, start+it.Hi*step, step)
+				if err != nil || fl != flowNext {
+					return fl, err
+				}
+				continue
+			}
 		chunkLoop:
 			for lin := it.Lo; lin < it.Hi; lin++ {
 				fr.i[lvIdx] = start + lin*step
@@ -338,205 +323,12 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 					// remaining lowered statements including for_end.
 					return flowReturn, nil
 				}
+				if err := fr.tick(pos); err != nil {
+					return flowNext, err
+				}
 			}
 		}
 		return flowNext, nil
 	}
 	return kf, 3, nil
-}
-
-// kernelHoistCandidates returns the names whose list storage the
-// kernel may hoist: plain names that appear in the loop body only as
-// the base of a subscript (never rebound, never passed, never a
-// method-call receiver — so never appended to or re-typed by this
-// body) and that do not already occupy an unboxed scalar slot.
-func kernelHoistCandidates(sc *scopeCtx, body []minipy.Stmt) []string {
-	indexed := map[string]bool{}
-	other := map[string]bool{}
-	var walkE func(e minipy.Expr)
-	markAll := func(names map[string]bool) {
-		for n := range names {
-			other[n] = true
-		}
-	}
-	walkE = func(e minipy.Expr) {
-		if e == nil {
-			return
-		}
-		if idx, ok := e.(*minipy.Index); ok {
-			if n, ok := idx.X.(*minipy.Name); ok {
-				indexed[n.ID] = true
-				walkE(idx.I)
-				return
-			}
-		}
-		if _, ok := e.(*minipy.Lambda); ok {
-			markAll(collectNamesExpr(e))
-			return
-		}
-		if n, ok := e.(*minipy.Name); ok {
-			other[n.ID] = true
-			return
-		}
-		// Recurse one level through the remaining expression kinds;
-		// collectNamesExpr would lose the index-base distinction, so
-		// reuse the AST walk shape from nestedReferences.
-		switch t := e.(type) {
-		case *minipy.BinOp:
-			walkE(t.L)
-			walkE(t.R)
-		case *minipy.BoolOp:
-			for _, v := range t.Values {
-				walkE(v)
-			}
-		case *minipy.UnaryOp:
-			walkE(t.X)
-		case *minipy.Compare:
-			walkE(t.L)
-			for _, r := range t.Rights {
-				walkE(r)
-			}
-		case *minipy.Call:
-			walkE(t.Fn)
-			for _, a := range t.Args {
-				walkE(a)
-			}
-			for i := range t.Keywords {
-				walkE(t.Keywords[i].Value)
-			}
-		case *minipy.Attribute:
-			walkE(t.X)
-		case *minipy.Index:
-			walkE(t.X)
-			walkE(t.I)
-		case *minipy.SliceExpr:
-			walkE(t.X)
-			walkE(t.Lo)
-			walkE(t.Hi)
-			walkE(t.Step)
-		case *minipy.ListLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.TupleLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.DictLit:
-			for i := range t.Keys {
-				walkE(t.Keys[i])
-				walkE(t.Vals[i])
-			}
-		case *minipy.SetLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.IfExp:
-			walkE(t.Cond)
-			walkE(t.Then)
-			walkE(t.Else)
-		}
-	}
-	var walkS func(s minipy.Stmt)
-	walkS = func(s minipy.Stmt) {
-		switch t := s.(type) {
-		case *minipy.ExprStmt:
-			walkE(t.X)
-		case *minipy.Assign:
-			for _, tgt := range t.Targets {
-				walkE(tgt)
-			}
-			walkE(t.Value)
-		case *minipy.AugAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.AnnAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.Return:
-			walkE(t.Value)
-		case *minipy.If:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, b := range t.Else {
-				walkS(b)
-			}
-		case *minipy.While:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.For:
-			walkE(t.Target)
-			walkE(t.Iter)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.With:
-			for _, it := range t.Items {
-				walkE(it.Context)
-				walkE(it.Vars)
-			}
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.Try:
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, h := range t.Handlers {
-				if h.Name != "" {
-					other[h.Name] = true
-				}
-				for _, b := range h.Body {
-					walkS(b)
-				}
-			}
-			for _, b := range t.Final {
-				walkS(b)
-			}
-		case *minipy.Raise:
-			walkE(t.Exc)
-		case *minipy.Assert:
-			walkE(t.Test)
-			walkE(t.Msg)
-		case *minipy.Del:
-			// del a[i] mutates; del a rebinds. Either disqualifies.
-			markAll(collectNamesStmt(s))
-		case *minipy.FuncDef:
-			// A nested function may do anything with its captures.
-			markAll(collectNamesStmt(s))
-		case *minipy.Global:
-			for _, n := range t.Names {
-				other[n] = true
-			}
-		case *minipy.Nonlocal:
-			for _, n := range t.Names {
-				other[n] = true
-			}
-		}
-	}
-	for _, s := range body {
-		walkS(s)
-	}
-	var names []string
-	for n := range indexed {
-		if other[n] {
-			continue
-		}
-		switch sc.resolve(n).kind {
-		case refFSlot, refISlot:
-			continue // unboxed scalars are not lists
-		}
-		names = append(names, n)
-	}
-	// Deterministic slot order (map iteration is randomized).
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }

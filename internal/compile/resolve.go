@@ -40,11 +40,10 @@ type scopeCtx struct {
 	nSlots int
 	types  map[string]valType
 
-	// hoist is non-nil only while a compiled-kernel loop body is being
-	// compiled: it maps list names whose storage the kernel hoists to
-	// their kernelEnv slot, letting texpr's Index paths emit direct
-	// []float64/[]int64 access (kernel.go).
-	hoist map[string]int
+	// xI / xF are the int and float registers the function's IR loops
+	// need beyond the named slots (the largest demand of any one loop:
+	// two IR programs are never active in the same frame at once).
+	xI, xF int32
 }
 
 // newScope builds the compile-time scope for a function: decides
@@ -65,7 +64,7 @@ func (c *compiler) newScope(params []minipy.Param, body []minipy.Stmt, parent *s
 	captured := nestedReferences(body)
 
 	if c.opts.Typed {
-		sc.types = inferTypes(params, body)
+		sc.types = inferTypes(params, body, sc.scope.IsLocal)
 	} else {
 		sc.types = map[string]valType{}
 	}

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"errors"
+	"sync"
 
 	"github.com/omp4go/omp4go/internal/interp"
 	"github.com/omp4go/omp4go/internal/minipy"
@@ -21,8 +22,8 @@ func (c *compiler) compileFunc(name string, params []minipy.Param, body []minipy
 		body:   bodyFn,
 	}
 	code.nCells = len(sc.cellOf)
-	code.nF = len(sc.fOf)
-	code.nI = len(sc.iOf)
+	code.nF = len(sc.fOf) + int(sc.xF)
+	code.nI = len(sc.iOf) + int(sc.xI)
 	code.captures = sc.captures
 	code.paramBind = make([]binding, len(params))
 	for i, p := range params {
@@ -148,35 +149,7 @@ func (c *compiler) compileStmt(sc *scopeCtx, s minipy.Stmt) (stmtFn, error) {
 			return flowNext, nil
 		}, nil
 	case *minipy.While:
-		condf, err := c.compileCond(sc, t.Cond)
-		if err != nil {
-			return nil, err
-		}
-		bodyf, err := c.compileStmts(sc, t.Body)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *Frame) (flow, error) {
-			for {
-				ok, err := condf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				if !ok {
-					return flowNext, nil
-				}
-				fl, err := bodyf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				switch fl {
-				case flowBreak:
-					return flowNext, nil
-				case flowReturn:
-					return flowReturn, nil
-				}
-			}
-		}, nil
+		return c.compileWhile(sc, t)
 	case *minipy.For:
 		return c.compileFor(sc, t)
 	case *minipy.FuncDef:
@@ -670,11 +643,80 @@ func (c *compiler) compileAugAssign(sc *scopeCtx, t *minipy.AugAssign) (stmtFn, 
 	return nil, interp.NewPyError("TypeError", "invalid augmented assignment target", t.NodePos())
 }
 
-func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
+// lazy returns the closure form of body, compiled on first use: the
+// form an IR loop falls back to when an entry guard fails. Install
+// builds one form per loop; this one is built at most once, under a
+// lock, with the IR switched off so it allocates no registers the
+// function's frames were not sized for.
+func (c *compiler) lazy(sc *scopeCtx, body []minipy.Stmt) func() (stmtFn, error) {
+	var once sync.Once
+	var f stmtFn
+	var err error
+	return func() (stmtFn, error) {
+		once.Do(func() {
+			c.lazyMu.Lock()
+			defer c.lazyMu.Unlock()
+			saved := c.kernels
+			c.kernels = false
+			f, err = c.compileStmts(sc, body)
+			c.kernels = saved
+		})
+		return f, err
+	}
+}
+
+func (c *compiler) compileWhile(sc *scopeCtx, t *minipy.While) (stmtFn, error) {
+	if c.kernels {
+		if prog := c.lowerLoop(sc, t); prog != nil {
+			slow := c.lazy(sc, []minipy.Stmt{t})
+			return func(fr *Frame) (flow, error) {
+				if prog.enter(fr) {
+					return prog.run(fr, 0, 0, 0)
+				}
+				whole, err := slow()
+				if err != nil {
+					return flowNext, err
+				}
+				return whole(fr)
+			}, nil
+		}
+	}
+	condf, err := c.compileCond(sc, t.Cond)
+	if err != nil {
+		return nil, err
+	}
 	bodyf, err := c.compileStmts(sc, t.Body)
 	if err != nil {
 		return nil, err
 	}
+	pos := t.NodePos()
+	return func(fr *Frame) (flow, error) {
+		for {
+			ok, err := condf(fr)
+			if err != nil {
+				return flowNext, err
+			}
+			if !ok {
+				return flowNext, nil
+			}
+			fl, err := bodyf(fr)
+			if err != nil {
+				return flowNext, err
+			}
+			switch fl {
+			case flowBreak:
+				return flowNext, nil
+			case flowReturn:
+				return flowReturn, nil
+			}
+			if err := fr.tick(pos); err != nil {
+				return flowNext, err
+			}
+		}
+	}, nil
+}
+
+func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 	// Native int loop for "for i in range(...)".
 	if call, ok := t.Iter.(*minipy.Call); ok && isRangeCall(t.Iter) {
 		if n, ok := t.Target.(*minipy.Name); ok {
@@ -711,6 +753,13 @@ func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 				store := sc.store(n.ID)
 				setVar = func(fr *Frame, v int64) error { return store(fr, v) }
 			}
+			// One form per loop: the typed loop IR when the nest
+			// lowers (its closure body is then built only on a failed
+			// entry guard), else the closure body.
+			form, err := c.loopBody(sc, t)
+			if err != nil {
+				return nil, err
+			}
 			pos := t.NodePos()
 			return func(fr *Frame) (flow, error) {
 				start, err := startf(fr)
@@ -728,6 +777,13 @@ func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 				if step == 0 {
 					return flowNext, interp.NewPyError("ValueError", "range() arg 3 must not be zero", pos)
 				}
+				bodyf, err := form.enter(fr)
+				if err != nil {
+					return flowNext, err
+				}
+				if bodyf == nil {
+					return form.prog.run(fr, start, stop, step)
+				}
 				for v := start; (step > 0 && v < stop) || (step < 0 && v > stop); v += step {
 					if err := setVar(fr, v); err != nil {
 						return flowNext, err
@@ -742,10 +798,17 @@ func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 					if fl == flowReturn {
 						return flowReturn, nil
 					}
+					if err := fr.tick(pos); err != nil {
+						return flowNext, err
+					}
 				}
 				return flowNext, nil
 			}, nil
 		}
+	}
+	bodyf, err := c.compileStmts(sc, t.Body)
+	if err != nil {
+		return nil, err
 	}
 	// Generic iteration.
 	iterf, err := c.compileExpr(sc, t.Iter)
@@ -776,7 +839,7 @@ func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 			case flowReturn:
 				return flowReturn, nil
 			}
-			return flowNext, nil
+			return flowNext, fr.tick(pos)
 		}
 		if l, ok := iter.(*interp.List); ok {
 			// Lists iterate live (growing lists are seen), matching

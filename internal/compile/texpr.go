@@ -272,38 +272,6 @@ func (c *compiler) compileFloat(sc *scopeCtx, e minipy.Expr) (floatFn, error) {
 			break
 		}
 		pos := t.NodePos()
-		if hi, ok := sc.hoistIndex(t.X); ok {
-			// Kernel-hoisted list: one bounds-checked slice read. The
-			// base is a plain name (side-effect free), so index-first
-			// evaluation is unobservable; negative indices, unhoisted
-			// storage and kind mismatches fall through to the boxed
-			// protocol below (a nil slice fails the uint compare).
-			return func(fr *Frame) (float64, error) {
-				iv, err := idxf(fr)
-				if err != nil {
-					return 0, err
-				}
-				if k := fr.kern; k != nil {
-					if s := k.f[hi]; uint64(iv) < uint64(len(s)) {
-						return s[uint64(iv)], nil
-					}
-				}
-				xv, err := xf(fr)
-				if err != nil {
-					return 0, err
-				}
-				if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-					if f, ok := l.FloatAt(int(iv)); ok {
-						return f, nil
-					}
-				}
-				v, err := fr.th.GetItem(xv, iv, pos)
-				if err != nil {
-					return 0, err
-				}
-				return coerceFloat(v, pos)
-			}, nil
-		}
 		return func(fr *Frame) (float64, error) {
 			xv, err := xf(fr)
 			if err != nil {
@@ -608,34 +576,6 @@ func (c *compiler) compileInt(sc *scopeCtx, e minipy.Expr) (intFn, error) {
 			break
 		}
 		pos := t.NodePos()
-		if hi, ok := sc.hoistIndex(t.X); ok {
-			// Kernel-hoisted int list (see the float twin above).
-			return func(fr *Frame) (int64, error) {
-				iv, err := idxf(fr)
-				if err != nil {
-					return 0, err
-				}
-				if k := fr.kern; k != nil {
-					if s := k.i[hi]; uint64(iv) < uint64(len(s)) {
-						return s[uint64(iv)], nil
-					}
-				}
-				xv, err := xf(fr)
-				if err != nil {
-					return 0, err
-				}
-				if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-					if n, ok := l.IntAt(int(iv)); ok {
-						return n, nil
-					}
-				}
-				v, err := fr.th.GetItem(xv, iv, pos)
-				if err != nil {
-					return 0, err
-				}
-				return coerceInt(v, pos)
-			}, nil
-		}
 		return func(fr *Frame) (int64, error) {
 			xv, err := xf(fr)
 			if err != nil {
@@ -879,36 +819,6 @@ func (c *compiler) compileTypedAssign(sc *scopeCtx, target minipy.Expr, value mi
 				return nil, true, err
 			}
 			pos := d.NodePos()
-			if hi, ok := sc.hoistIndex(d.X); ok {
-				// Kernel-hoisted store: the base name is pure, so the
-				// boxed base load is deferred to the fallback.
-				return func(fr *Frame) (flow, error) {
-					iv, err := idxf(fr)
-					if err != nil {
-						return flowNext, err
-					}
-					v, err := vf(fr)
-					if err != nil {
-						return flowNext, err
-					}
-					if k := fr.kern; k != nil {
-						if s := k.f[hi]; uint64(iv) < uint64(len(s)) {
-							s[uint64(iv)] = v
-							return flowNext, nil
-						}
-					}
-					xv, err := xf(fr)
-					if err != nil {
-						return flowNext, err
-					}
-					if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-						if l.SetFloatAt(int(iv), v) {
-							return flowNext, nil
-						}
-					}
-					return flowNext, fr.th.SetItem(xv, iv, v, pos)
-				}, true, nil
-			}
 			return func(fr *Frame) (flow, error) {
 				xv, err := xf(fr)
 				if err != nil {
@@ -930,50 +840,6 @@ func (c *compiler) compileTypedAssign(sc *scopeCtx, target minipy.Expr, value mi
 				return flowNext, fr.th.SetItem(xv, iv, v, pos)
 			}, true, nil
 		}
-		// a[i] = <int expr> on a kernel-hoisted list. Outside kernels
-		// int element stores stay on the generic path (unchanged), but
-		// inside one the hoisted []int64 write is the whole point.
-		if hi, ok := sc.hoistIndex(d.X); ok && exprType(value, sc.types) == tInt {
-			xf, err := c.compileExprBoxed(sc, d.X)
-			if err != nil {
-				return nil, true, err
-			}
-			idxf, err := c.compileInt(sc, d.I)
-			if err != nil {
-				return nil, false, nil
-			}
-			vf, err := c.compileInt(sc, value)
-			if err != nil {
-				return nil, true, err
-			}
-			pos := d.NodePos()
-			return func(fr *Frame) (flow, error) {
-				iv, err := idxf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				v, err := vf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				if k := fr.kern; k != nil {
-					if s := k.i[hi]; uint64(iv) < uint64(len(s)) {
-						s[uint64(iv)] = v
-						return flowNext, nil
-					}
-				}
-				xv, err := xf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-					if l.SetIntAt(int(iv), v) {
-						return flowNext, nil
-					}
-				}
-				return flowNext, fr.th.SetItem(xv, iv, v, pos)
-			}, true, nil
-		}
 	}
 	return nil, false, nil
 }
@@ -986,6 +852,7 @@ func (c *compiler) compileTypedAugAssign(sc *scopeCtx, t *minipy.AugAssign) (stm
 		// paths specialize; reuse the assign fast path via expansion.
 		if idx, ok := t.Target.(*minipy.Index); ok && exprType(t.Value, sc.types) != tBoxed {
 			expanded := &minipy.BinOp{Op: t.Op, L: idx, R: t.Value}
+			expanded.P = t.NodePos() // a fault in the operator is the statement's
 			return c.compileTypedAssign(sc, t.Target, expanded)
 		}
 		return nil, false, nil
@@ -994,6 +861,7 @@ func (c *compiler) compileTypedAugAssign(sc *scopeCtx, t *minipy.AugAssign) (stm
 	switch ref.kind {
 	case refFSlot:
 		rhs := &minipy.BinOp{Op: t.Op, L: n, R: t.Value}
+		rhs.P = t.NodePos()
 		vf, err := c.compileFloat(sc, rhs)
 		if err != nil {
 			return nil, true, err
@@ -1011,6 +879,7 @@ func (c *compiler) compileTypedAugAssign(sc *scopeCtx, t *minipy.AugAssign) (stm
 		// int //=, %= etc. stay int; += float would have inferred the
 		// variable float instead.
 		rhs := &minipy.BinOp{Op: t.Op, L: n, R: t.Value}
+		rhs.P = t.NodePos()
 		if exprType(rhs, sc.types) != tInt {
 			return nil, false, nil
 		}

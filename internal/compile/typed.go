@@ -35,19 +35,33 @@ func joinTypes(a, b valType) valType {
 // ints, and every assignment joins the assigned expression's static
 // type into the target. Variables that end boxed (or conflicted) stay
 // on the boxed path.
-func inferTypes(params []minipy.Param, body []minipy.Stmt) map[string]valType {
+//
+// One statement is trusted beyond what the types prove: the declaration
+// "x: int = e" / "x: float = e" whose initializer has no static type
+// only because it reads list elements or names of an enclosing scope
+// (numericSource). Like a Cython cdef, x keeps its declared type and
+// the store coerces the value or raises TypeError. Any other untyped
+// value — a call result, None, a generic for target, a plain assignment
+// — still boxes the variable. isLocal tells the function's own names
+// from those of enclosing scopes.
+func inferTypes(params []minipy.Param, body []minipy.Stmt, isLocal func(string) bool) map[string]valType {
 	types := make(map[string]valType)
-	annotate := func(name string, ann minipy.Expr) {
+	// annotate seeds name from its annotation and reports whether that
+	// declared it int or float.
+	annotate := func(name string, ann minipy.Expr) bool {
 		if n, ok := ann.(*minipy.Name); ok {
 			switch n.ID {
 			case "int":
 				types[name] = joinTypes(types[name], tInt)
+				return true
 			case "float":
 				types[name] = joinTypes(types[name], tFloat)
+				return true
 			default:
 				types[name] = tBoxed
 			}
 		}
+		return false
 	}
 	for _, p := range params {
 		if p.Annotation != nil {
@@ -65,10 +79,15 @@ func inferTypes(params []minipy.Param, body []minipy.Stmt) map[string]valType {
 			switch t := s.(type) {
 			case *minipy.AnnAssign:
 				if n, ok := t.Target.(*minipy.Name); ok {
-					annotate(n.ID, t.Annotation)
-					if t.Value != nil {
-						join(n.ID, exprType(t.Value, types))
+					numeric := annotate(n.ID, t.Annotation)
+					if t.Value == nil {
+						continue
 					}
+					vt := exprType(t.Value, types)
+					if vt == tBoxed && numeric && numericSource(t.Value, types, isLocal) {
+						continue // the declaration is trusted
+					}
+					join(n.ID, vt)
 				}
 			case *minipy.Assign:
 				vt := exprType(t.Value, types)
@@ -131,6 +150,27 @@ func inferTypes(params []minipy.Param, body []minipy.Stmt) map[string]valType {
 		}
 	}
 	return types
+}
+
+// numericSource reports whether e, which has no static type, is built
+// only from what a well-typed numeric program makes numbers of: list
+// elements, names of enclosing scopes, typed locals and literals,
+// combined by arithmetic. A call, None or a boxed local is not.
+func numericSource(e minipy.Expr, types map[string]valType, isLocal func(string) bool) bool {
+	switch t := e.(type) {
+	case *minipy.IntLit, *minipy.FloatLit:
+		return true
+	case *minipy.Name:
+		return !isLocal(t.ID) || types[t.ID] == tInt || types[t.ID] == tFloat
+	case *minipy.Index:
+		_, ok := t.X.(*minipy.Name)
+		return ok
+	case *minipy.UnaryOp:
+		return t.Op != "not" && numericSource(t.X, types, isLocal)
+	case *minipy.BinOp:
+		return numericSource(t.L, types, isLocal) && numericSource(t.R, types, isLocal)
+	}
+	return false
 }
 
 func markTargetsBoxed(e minipy.Expr, types map[string]valType) {

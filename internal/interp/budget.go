@@ -114,6 +114,18 @@ func (e *BudgetError) at(pos minipy.Position) *BudgetError {
 	return &BudgetError{Kind: e.Kind, Msg: e.Msg, Pos: pos}
 }
 
+// Charge bills n steps of compiled code against the execution budget
+// and re-checks every limit, reporting a violation at pos. Compiled
+// loops (internal/compile) count their back-edges locally and call it
+// once per stride, so the budget pointer is loaded only here; without
+// an armed budget it does nothing.
+func (th *Thread) Charge(n int64, pos minipy.Position) error {
+	if b := th.in.budget.Load(); b != nil {
+		return b.charge(n, pos)
+	}
+	return nil
+}
+
 // charge adds n steps and re-checks every limit. Called once per
 // budgetStride steps per thread.
 func (b *budgetState) charge(n int64, pos minipy.Position) error {

@@ -789,3 +789,49 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 		t.Errorf("history = %+v, want a %s/canceled entry", h, CodeQuotaKill)
 	}
 }
+
+// TestCompiledQuotaKill: compiled code polls the execution budget on
+// its loop back-edges (as typed loop IR in compileddt, as closures in
+// compiled), so a `while True` inside an @omp def dies with the typed
+// quota error for a step quota and for a wall-clock one, and the
+// tenant's session serves the next request.
+func TestCompiledQuotaKill(t *testing.T) {
+	src := "from omp4py import *\n\n@omp\ndef spin(n: int) -> int:\n    k: int = 0\n    while True:\n        k = (k + n) % 1000\n    return k\n\nprint(spin(3))\n"
+	for _, mode := range []string{"compiled", "compileddt"} {
+		for _, tc := range []struct {
+			quota string
+			q     Quota
+		}{
+			{"steps", Quota{MaxSteps: 20_000, MaxWall: 30 * time.Second}},
+			{"deadline", Quota{MaxSteps: 1 << 50, MaxWall: 200 * time.Millisecond}},
+		} {
+			t.Run(mode+"/"+tc.quota, func(t *testing.T) {
+				s := startServer(t, Config{
+					Tokens:       []string{"small=small-key"},
+					TenantQuotas: map[string]Quota{"small": tc.q},
+				})
+				start := time.Now()
+				st, rr, apiErr := postRun(t, s, "small-key", RunRequest{Source: src, Mode: mode})
+				if st != http.StatusOK || rr.OK || apiErr == nil {
+					t.Fatalf("status %d resp %+v, want a quota kill", st, rr)
+				}
+				if apiErr.Code != CodeQuotaKill || apiErr.Quota != tc.quota {
+					t.Fatalf("error = %+v, want code %s quota %s", apiErr, CodeQuotaKill, tc.quota)
+				}
+				if apiErr.Pos == nil || apiErr.Pos.Line < 6 || apiErr.Pos.Line > 7 {
+					t.Errorf("error position = %+v, want a line of the loop", apiErr.Pos)
+				}
+				if tc.quota == "steps" && rr.Steps == 0 {
+					t.Errorf("Steps = 0, want the charged back-edges")
+				}
+				if d := time.Since(start); d > 10*time.Second {
+					t.Errorf("kill took %v", d)
+				}
+				st, rr2, _ := postRun(t, s, "small-key", RunRequest{Source: "print(6 * 7)", Mode: mode})
+				if st != http.StatusOK || !rr2.OK || rr2.Stdout != "42\n" {
+					t.Fatalf("post-kill run: status %d, resp %+v", st, rr2)
+				}
+			})
+		}
+	}
+}
