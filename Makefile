@@ -98,14 +98,16 @@ depend-race:
 # loop-nest differential (IR vs kernels off vs interp, results compared
 # by Float64bits, faults by type, message and line), the declaration
 # trust table, the stale-view and budget-poll regressions, the paper
-# programs' IR-coverage assertion and the benchmark-level
+# programs' and the textbook shapes' IR-coverage assertions (typed
+# captures and typed data-sharing copies, 1/2/4 threads), the
+# captured-vs-uncaptured typed parameter table and the benchmark-level
 # kernels-on/off/interp matrix run under the race detector with the
 # test cache defeated. An IR loop that reads stale hoisted
 # storage, races the bridge on a mixed loop or outlives its quota shows
 # up here as a data race, a diverging checksum or a hung test.
 kernels-race:
 	$(GO) test -race -count=1 -timeout 180s -run='TestStaticBounds|TestReduceSlot' ./internal/rt/
-	$(GO) test -race -count=1 -timeout 300s -run='TestKernel|TestIR|TestDeclarationTrust|TestPaperLoopsRunAsIR' ./internal/compile/
+	$(GO) test -race -count=1 -timeout 300s -run='TestKernel|TestIR|TestDeclarationTrust|TestPaperLoopsRunAsIR|TestTextbookLoopsRunAsIR|TestTypedParamChecked' ./internal/compile/
 	$(GO) test -race -count=1 -timeout 300s -run='TestKernelDifferentialMatrix' ./internal/bench/
 	$(GO) test -race -count=1 -timeout 120s -run='TestCompiledQuotaKill' ./internal/serve/
 

@@ -80,7 +80,7 @@ func Install(in *interp.Interp, mod *minipy.Module, opts Options) error {
 		if opts.Only != nil && !opts.Only[fd.Name] {
 			continue
 		}
-		code, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil)
+		code, err := c.compileFunc(fd, nil)
 		if err != nil {
 			return fmt.Errorf("compile %s: %w", fd.Name, err)
 		}
@@ -151,6 +151,7 @@ type intFn func(fr *Frame) (int64, error)
 // funcCode is the compiled form of one function.
 type funcCode struct {
 	name      string
+	pos       minipy.Position
 	params    []minipy.Param
 	nSlots    int
 	nCells    int
@@ -166,10 +167,12 @@ type captureSrc struct {
 	idx      int
 }
 
-// binding places a call argument into the frame.
+// binding places a call argument into the frame; typ is the type an
+// int or float parameter coerces it to.
 type binding struct {
 	kind refKind
 	idx  int
+	typ  valType
 }
 
 // entry builds the callable entry point for this code, closing over
@@ -231,8 +234,11 @@ func (code *funcCode) entry(defFrame *Frame, fnVal *interp.Function) func(*inter
 					fmt.Sprintf("%s() missing required argument: '%s'", code.name, code.params[pi].Name),
 					minipy.Position{})
 			}
-			if err := fr.storeBinding(code.paramBind[pi], v); err != nil {
-				return nil, err
+			if b := code.paramBind[pi]; !fr.storeBinding(b, v) {
+				return nil, interp.NewPyError("TypeError",
+					fmt.Sprintf("%s() argument '%s': expected %s, got %s",
+						code.name, code.params[pi].Name, b.typ, interp.TypeName(v)),
+					code.pos)
 			}
 		}
 		fl, err := code.body(fr)
@@ -246,26 +252,25 @@ func (code *funcCode) entry(defFrame *Frame, fnVal *interp.Function) func(*inter
 	}
 }
 
-func (fr *Frame) storeBinding(b binding, v interp.Value) error {
+// storeBinding binds a parameter. Like every store into a typed
+// binding it coerces the argument, and reports false when it cannot.
+func (fr *Frame) storeBinding(b binding, v interp.Value) (ok bool) {
 	switch b.kind {
 	case refSlot:
 		fr.slots[b.idx] = v
 	case refCell:
+		if isNumeric(b.typ) {
+			if v, ok = coerce(b.typ, v); !ok {
+				return false
+			}
+		}
 		fr.cells[b.idx].SetValue(v)
 	case refFSlot:
-		f, ok := interp.AsFloat(v)
-		if !ok {
-			return interp.NewPyError("TypeError", "expected float argument", minipy.Position{})
-		}
-		fr.f[b.idx] = f
+		fr.f[b.idx], ok = interp.AsFloat(v)
+		return ok
 	case refISlot:
-		n, ok := interp.AsInt(v)
-		if !ok {
-			return interp.NewPyError("TypeError", "expected int argument", minipy.Position{})
-		}
-		fr.i[b.idx] = n
-	default:
-		return interp.NewPyError("RuntimeError", "bad parameter binding", minipy.Position{})
+		fr.i[b.idx], ok = interp.AsInt(v)
+		return ok
 	}
-	return nil
+	return true
 }

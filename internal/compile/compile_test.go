@@ -540,14 +540,14 @@ def f(n: int, w: float):
 		t.Fatal(err)
 	}
 	fd := mod.Body[0].(*minipy.FuncDef)
-	types := inferTypes(fd.Params, fd.Body, minipy.AnalyzeScope(fd.Params, fd.Body).IsLocal)
+	types := inferTypes(fd)
 	want := map[string]valType{
 		"n": tInt, "w": tFloat, "i": tInt, "x": tFloat, "y": tFloat,
 		"s": tBoxed, "acc": tInt, "k": tInt, "mixed": tBoxed,
 	}
 	for name, wt := range want {
-		if types[name] != wt {
-			t.Errorf("type of %s = %d, want %d", name, types[name], wt)
+		if got := types.of(name); got != wt {
+			t.Errorf("type of %s = %v, want %v", name, got, wt)
 		}
 	}
 }

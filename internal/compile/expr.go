@@ -10,7 +10,14 @@ import (
 // unboxed and boxed only at the boundary.
 func (c *compiler) compileExpr(sc *scopeCtx, e minipy.Expr) (exprFn, error) {
 	if c.opts.Typed {
-		switch exprType(e, sc.types) {
+		vt := exprType(e, sc.types)
+		if n, ok := e.(*minipy.Name); ok && isNumeric(vt) {
+			// A typed name held in a cell is already the boxed value wanted.
+			if k := sc.resolve(n.ID).kind; k == refCell || k == refFree {
+				vt = tBoxed
+			}
+		}
+		switch vt {
 		case tFloat:
 			ff, err := c.compileFloat(sc, e)
 			if err != nil {
@@ -299,8 +306,9 @@ func (c *compiler) compileExprBoxed(sc *scopeCtx, e minipy.Expr) (exprFn, error)
 			return elsef(fr)
 		}, nil
 	case *minipy.Lambda:
-		body := []minipy.Stmt{&minipy.Return{Value: t.Body}}
-		return c.compileClosure(sc, "<lambda>", t.Params, body)
+		fd := &minipy.FuncDef{Name: "<lambda>", Params: t.Params, Body: []minipy.Stmt{&minipy.Return{Value: t.Body}}}
+		fd.P = t.NodePos()
+		return c.compileClosure(sc, fd)
 	}
 	return nil, interp.NewPyError("TypeError", "unsupported expression in compiled code", e.NodePos())
 }
@@ -432,8 +440,9 @@ func (c *compiler) compileSlice(sc *scopeCtx, t *minipy.SliceExpr) (exprFn, erro
 
 // compileClosure compiles a nested function/lambda and returns the
 // expression that creates its function value at run time.
-func (c *compiler) compileClosure(sc *scopeCtx, name string, params []minipy.Param, body []minipy.Stmt) (exprFn, error) {
-	code, err := c.compileFunc(name, params, body, sc)
+func (c *compiler) compileClosure(sc *scopeCtx, fd *minipy.FuncDef) (exprFn, error) {
+	name, params := fd.Name, fd.Params
+	code, err := c.compileFunc(fd, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -182,10 +182,19 @@ type nestGen struct {
 	// get values without static type outside their declarations (a plain
 	// element assignment, a call result, a generic for target), which
 	// boxes them — wherever they are then read or assigned, all three
-	// forms must still agree.
+	// forms must still agree. So does the declared xi, into which a
+	// nested function stores a float: the binding is then a float one in
+	// every function of the tree.
 	misann bool
-	ivars  []string // int loop variables in scope, outermost first
-	loops  int
+	// sharing gives the worksharing loop annotated data-sharing clauses:
+	// the float pt is private, the float fp and the int fk firstprivate,
+	// the int hi a max reduction, and with last the int lp lastprivate
+	// (which takes the loop off the kernel path onto the bridge). Each
+	// copy must inherit its original's declared type in the compiled
+	// forms and change no result.
+	sharing, last bool
+	ivars         []string // int loop variables in scope, outermost first
+	loops         int
 	// noElem marks an int expression that a float context will
 	// evaluate. It keeps int-list elements out of it: the IR wants one
 	// storage kind per list, and c is read as int storage elsewhere.
@@ -230,6 +239,9 @@ func (g *nestGen) iatom() string {
 	case 2:
 		if g.misann {
 			return g.pick("k0", "k1", "kz")
+		}
+		if g.sharing {
+			return g.pick("k0", "k1", "fk")
 		}
 		return g.pick("k0", "k1")
 	case 3:
@@ -288,7 +300,10 @@ func (g *nestGen) fatom() string {
 		return fmt.Sprintf("%.3f", float64(g.r.Intn(40)-8)/8)
 	case 1:
 		if g.misann {
-			return g.pick("x0", "x1", "z")
+			return g.pick("x0", "x1", "z", "xi")
+		}
+		if g.sharing {
+			return g.pick("x0", "x1", "pt", "fp")
 		}
 		return g.pick("x0", "x1", g.outer("w"))
 	case 2:
@@ -482,6 +497,21 @@ func (g *nestGen) program(depth int, clause string) string {
 	} {
 		g.emit(1, "%s", l)
 	}
+	if g.misann {
+		for _, l := range []string{"xi: int = 3", "def spoil():", "    nonlocal xi", "    xi = 0.5 * seed", "spoil()"} {
+			g.emit(1, "%s", l)
+		}
+	}
+	g.sharing, g.last = g.sharing && !g.serial, g.last && g.sharing && !g.serial
+	if g.sharing {
+		for _, l := range []string{"pt: float = 0.0", "fp: float = 0.375 * (seed % 5)", "fk: int = seed % 9 + 1", "hi: int = 0", "lp: int = 0"} {
+			g.emit(1, "%s", l)
+		}
+		clause += " private(pt) firstprivate(fp, fk) reduction(max:hi)"
+		if g.last {
+			clause += " lastprivate(lp)"
+		}
+	}
 	body := 1
 	if !g.serial {
 		g.emit(1, "with omp(\"parallel for reduction(+:cnt) %s\"):", clause)
@@ -493,13 +523,24 @@ func (g *nestGen) program(depth int, clause string) string {
 		"x0: float = 0.5", "x1: float = w * i", "k0: int = i % 5", "k1: int = seed % 7"} {
 		g.emit(body+1, "%s", l)
 	}
+	if g.sharing {
+		g.emit(body+1, "pt = x1 + fp")
+		g.emit(body+1, "hi = max(hi, (i * fk) %% 1000)")
+	}
+	if g.last {
+		g.emit(body+1, "lp = (i * fk) %% 1000")
+	}
 	if g.misann {
 		g.emit(body+1, "z: float = 0.25")
 		g.emit(body+1, "kz: int = 2")
 		g.misannotate(body + 1)
 	}
 	g.stmts(body+1, depth-1, g.serial)
-	g.emit(1, "return [a, d, cnt]")
+	if g.sharing {
+		g.emit(1, "return [a, d, cnt, hi, lp]")
+	} else {
+		g.emit(1, "return [a, d, cnt]")
+	}
 	return strings.Join(g.lines, "\n") + "\n"
 }
 
@@ -518,7 +559,8 @@ func TestIRDifferentialLoopNests(t *testing.T) {
 		seeds = 24
 	}
 	for seed := 0; seed < seeds; seed++ {
-		g := &nestGen{r: rand.New(rand.NewSource(int64(seed))), serial: seed%3 == 0, whiles: seed%2 == 0, misann: seed%5 == 4}
+		g := &nestGen{r: rand.New(rand.NewSource(int64(seed))), serial: seed%3 == 0, whiles: seed%2 == 0, misann: seed%5 == 4,
+			sharing: seed%5 < 3 && seed%7 < 4, last: seed%7 < 2}
 		clause := ""
 		if !g.serial {
 			clause = fmt.Sprintf("%s num_threads(%d)", clauses[seed%len(clauses)], []int{1, 2, 4}[(seed/3)%3])
@@ -529,6 +571,16 @@ func TestIRDifferentialLoopNests(t *testing.T) {
 			t.Fatalf("seed %d: generated program raised %v\n%s", seed, o, src)
 		}
 		ran += o.irLoops
+		if seed%4 != 1 {
+			continue
+		}
+		// A float argument to the int parameter seed, which the loop of a
+		// worksharing program captures: both compiled forms refuse it at
+		// the def (the interpreter knows no annotations).
+		ir, off := runForm(t, src, formIR, nil, int64(23), 2.5), runForm(t, src, formOff, nil, int64(23), 2.5)
+		if !ir.same(off) || ir.errType != "TypeError" || ir.errMsg != "f() argument 'seed': expected int, got float" || ir.errLine != 6 {
+			t.Fatalf("seed %d, f(23, 2.5):\n  ir:          %v\n  kernels-off: %v\n%s", seed, ir, off, src)
+		}
 	}
 	// The generator exists to exercise the IR: nearly every program's
 	// main nest (and always its initialisation loop) must lower.
@@ -786,9 +838,12 @@ func TestDeclarationTrust(t *testing.T) {
 		{name: "string element raises into a float slot",
 			src:    "def f():\n    a = [\"p\", \"q\"]\n    for i in range(2):\n        x: float = a[i]\n    return x\n",
 			interp: "q", errMsg: "expected a number, got str", errLine: 4},
-		{name: "enclosing-scope name in arithmetic",
-			src:    "def f():\n    n = 2.5\n    def h():\n        r: int = 0\n        for i in range(3):\n            k: int = i * n\n            r = k\n        return r\n    return h()\n",
+		{name: "untyped enclosing-scope name in arithmetic",
+			src:    "def f():\n    n = [2.5][0]\n    def h():\n        r: int = 0\n        for i in range(3):\n            k: int = i * n\n            r = k\n        return r\n    return h()\n",
 			interp: 5.0, errMsg: "expected an int, got float", errLine: 6},
+		{name: "typed enclosing-scope name is no matter of trust",
+			src:      "def f():\n    n = 2.5\n    def h():\n        r: int = 0\n        for i in range(3):\n            k: int = i * n\n            r = k\n        return r\n    return h()\n",
+			compiled: 5.0, interp: 5.0},
 	}
 	for _, tc := range trusted {
 		t.Run("trusted/"+tc.name, func(t *testing.T) {
@@ -881,5 +936,45 @@ def f():
 `)
 	if o.irLoops != 2 || o.vals[0] != int64(21) || o.vals[1] != int64(8) {
 		t.Fatalf("got %v with %d IR loops, want [21 8] with 2", o, o.irLoops)
+	}
+}
+
+// TestTypedParamChecked: an int or float parameter is a typed binding
+// whether or not a nested function captures it — an uncaptured one
+// lives in an unboxed slot, a captured one in a cell, and binding an
+// argument coerces it or raises the same positioned TypeError either
+// way, in the IR form and on the closure chain alike. (The parent
+// commit stored a captured parameter unchecked: f(2.5) returned 5.0.)
+func TestTypedParamChecked(t *testing.T) {
+	for _, typ := range []string{"int", "float"} {
+		for _, captured := range []bool{false, true} {
+			src := "def f(k: " + typ + "):\n    return k * 2\n"
+			if captured {
+				src = "def f(k: " + typ + "):\n    def g():\n        return k * 2\n    return g()\n"
+			}
+			for _, tc := range []struct {
+				arg, want interp.Value
+				got       string // the argument's type in the error, when it raises
+			}{
+				{arg: int64(3), want: map[string]interp.Value{"int": int64(6), "float": 6.0}[typ]},
+				{arg: 2.5, want: map[string]interp.Value{"float": 5.0}[typ], got: "float"},
+				{arg: nil, got: "NoneType"},
+			} {
+				ir, off := runForm(t, src, formIR, nil, tc.arg), runForm(t, src, formOff, nil, tc.arg)
+				if !ir.same(off) {
+					t.Fatalf("%s captured=%v f(%v): compiled forms disagree:\n  ir:          %v\n  kernels-off: %v", typ, captured, tc.arg, ir, off)
+				}
+				if tc.want != nil {
+					if ir.errType != "" || ir.vals[0] != tc.want {
+						t.Errorf("%s captured=%v f(%v) = %v, want %v", typ, captured, tc.arg, ir, tc.want)
+					}
+					continue
+				}
+				msg := "f() argument 'k': expected " + typ + ", got " + tc.got
+				if ir.errType != "TypeError" || ir.errMsg != msg || ir.errLine != 1 {
+					t.Errorf("%s captured=%v f(%v): got %v, want TypeError: %s (line 1)", typ, captured, tc.arg, ir, msg)
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,15 @@ type varRef struct {
 	kind refKind
 	idx  int
 	cell *interp.Cell // refGlobal: resolved once at compile time
+	typ  valType      // the binding's type; an int or float one holds nothing else, even in a cell
+}
+
+// cellIn returns the cell of a refCell or refFree reference in fr.
+func (ref varRef) cellIn(fr *Frame) *interp.Cell {
+	if ref.kind == refFree {
+		return fr.free[ref.idx]
+	}
+	return fr.cells[ref.idx]
 }
 
 // scopeCtx is the compile-time scope of one function.
@@ -38,7 +47,7 @@ type scopeCtx struct {
 	captures []captureSrc
 
 	nSlots int
-	types  map[string]valType
+	types  *typeEnv
 
 	// xI / xF are the int and float registers the function's IR loops
 	// need beyond the named slots (the largest demand of any one loop:
@@ -48,35 +57,49 @@ type scopeCtx struct {
 
 // newScope builds the compile-time scope for a function: decides
 // which locals need cells (captured by nested functions), which get
-// unboxed slots (typed mode), and numbers everything.
-func (c *compiler) newScope(params []minipy.Param, body []minipy.Stmt, parent *scopeCtx) *scopeCtx {
+// unboxed slots (typed mode), and numbers everything. Types are
+// inferred once per outermost def, over its whole tree of nested
+// functions; a nested def finds its typing in its parent's.
+func (c *compiler) newScope(fd *minipy.FuncDef, parent *scopeCtx) *scopeCtx {
+	var types *typeEnv // nil in untyped mode: no binding has a type
+	switch {
+	case !c.opts.Typed:
+	case parent == nil:
+		types = inferTypes(fd)
+	default:
+		if types = parent.types.kids[fd]; types == nil {
+			// A lambda: it owns no typed binding, and reads those of the
+			// functions around it.
+			types = newTypeEnv(fd, parent.types)
+		}
+	}
 	sc := &scopeCtx{
 		c:      c,
 		parent: parent,
-		scope:  minipy.AnalyzeScope(params, body),
+		types:  types,
 		slotOf: make(map[string]int),
 		cellOf: make(map[string]int),
 		fOf:    make(map[string]int),
 		iOf:    make(map[string]int),
 		freeOf: make(map[string]int),
 	}
-
-	captured := nestedReferences(body)
-
-	if c.opts.Typed {
-		sc.types = inferTypes(params, body, sc.scope.IsLocal)
+	if types != nil {
+		sc.scope = types.scope
 	} else {
-		sc.types = map[string]valType{}
+		sc.scope = minipy.AnalyzeScope(fd.Params, fd.Body)
 	}
+
+	captured := nestedReferences(fd.Body)
 
 	for _, name := range sc.scope.Locals {
 		if captured[name] {
-			// Captured locals live in cells; cells are boxed, so a
-			// captured variable cannot be type-specialized.
+			// Captured locals live in cells the closures share. A cell is
+			// boxed storage; the binding keeps its type, which every store
+			// into the cell upholds (store, storeBinding).
 			sc.cellOf[name] = len(sc.cellOf)
 			continue
 		}
-		switch sc.types[name] {
+		switch sc.ownType(name) {
 		case tFloat:
 			sc.fOf[name] = len(sc.fOf)
 		case tInt:
@@ -89,6 +112,14 @@ func (c *compiler) newScope(params []minipy.Param, body []minipy.Stmt, parent *s
 	return sc
 }
 
+// ownType is the type of the binding name this function owns.
+func (sc *scopeCtx) ownType(name string) valType {
+	if sc.types == nil {
+		return tUnknown
+	}
+	return sc.types.own[name]
+}
+
 // resolve maps a name reference to its storage.
 func (sc *scopeCtx) resolve(name string) varRef {
 	if sc.scope.Globals[name] {
@@ -96,13 +127,13 @@ func (sc *scopeCtx) resolve(name string) varRef {
 	}
 	if sc.scope.IsLocal(name) {
 		if i, ok := sc.fOf[name]; ok {
-			return varRef{kind: refFSlot, idx: i}
+			return varRef{kind: refFSlot, idx: i, typ: tFloat}
 		}
 		if i, ok := sc.iOf[name]; ok {
-			return varRef{kind: refISlot, idx: i}
+			return varRef{kind: refISlot, idx: i, typ: tInt}
 		}
 		if i, ok := sc.cellOf[name]; ok {
-			return varRef{kind: refCell, idx: i}
+			return varRef{kind: refCell, idx: i, typ: sc.ownType(name)}
 		}
 		return varRef{kind: refSlot, idx: sc.slotOf[name]}
 	}
@@ -111,7 +142,7 @@ func (sc *scopeCtx) resolve(name string) varRef {
 	// through every intermediate function so each closure takes its
 	// free cells from its immediate defining frame.
 	if idx, ok := sc.freeIndex(name); ok {
-		return varRef{kind: refFree, idx: idx}
+		return varRef{kind: refFree, idx: idx, typ: sc.types.of(name)}
 	}
 	return sc.globalRef(name)
 }
@@ -216,32 +247,62 @@ func (sc *scopeCtx) load(name string, pos minipy.Position) exprFn {
 	}
 }
 
-// store compiles a variable write.
+// coerce is what a store into a binding typed int or float keeps of v:
+// the value as that type, or ok=false when it is no such number.
+func coerce(vt valType, v interp.Value) (interp.Value, bool) {
+	if vt == tInt {
+		if _, exact := v.(int64); exact {
+			return v, true
+		}
+		n, ok := interp.AsInt(v)
+		return n, ok
+	}
+	if _, exact := v.(float64); exact {
+		return v, true
+	}
+	f, ok := interp.AsFloat(v)
+	return f, ok
+}
+
+// store compiles a variable write. A store into a typed binding
+// coerces the value or raises, whether the binding lives in an unboxed
+// slot or, captured, in a cell.
 func (sc *scopeCtx) store(name string) func(fr *Frame, v interp.Value) error {
 	ref := sc.resolveStore(name)
+	if isNumeric(ref.typ) {
+		refused := func() error {
+			return interp.NewPyError("TypeError", "variable '"+name+"' is typed "+ref.typ.String(), minipy.Position{})
+		}
+		switch ref.kind {
+		case refFSlot:
+			return func(fr *Frame, v interp.Value) error {
+				f, ok := interp.AsFloat(v)
+				if !ok {
+					return refused()
+				}
+				fr.f[ref.idx] = f
+				return nil
+			}
+		case refISlot:
+			return func(fr *Frame, v interp.Value) error {
+				n, ok := interp.AsInt(v)
+				if !ok {
+					return refused()
+				}
+				fr.i[ref.idx] = n
+				return nil
+			}
+		}
+		return func(fr *Frame, v interp.Value) error {
+			v, ok := coerce(ref.typ, v)
+			if !ok {
+				return refused()
+			}
+			ref.cellIn(fr).SetValue(v)
+			return nil
+		}
+	}
 	switch ref.kind {
-	case refFSlot:
-		idx := ref.idx
-		return func(fr *Frame, v interp.Value) error {
-			f, ok := interp.AsFloat(v)
-			if !ok {
-				return interp.NewPyError("TypeError",
-					"variable '"+name+"' is typed float", minipy.Position{})
-			}
-			fr.f[idx] = f
-			return nil
-		}
-	case refISlot:
-		idx := ref.idx
-		return func(fr *Frame, v interp.Value) error {
-			n, ok := interp.AsInt(v)
-			if !ok {
-				return interp.NewPyError("TypeError",
-					"variable '"+name+"' is typed int", minipy.Position{})
-			}
-			fr.i[idx] = n
-			return nil
-		}
 	case refSlot:
 		idx := ref.idx
 		return func(fr *Frame, v interp.Value) error {
@@ -267,6 +328,43 @@ func (sc *scopeCtx) store(name string) func(fr *Frame, v interp.Value) error {
 			return nil
 		}
 	}
+}
+
+// declare compiles the bare declaration "x: T". It leaves a bound name
+// alone and starts an unbound local from the zero of its binding's
+// type — what an unboxed slot holds from the start — or, untyped, from
+// None, as the interpreter does.
+func (sc *scopeCtx) declare(target minipy.Expr) stmtFn {
+	nop := func(fr *Frame) (flow, error) { return flowNext, nil }
+	n, ok := target.(*minipy.Name)
+	if !ok || !sc.scope.IsLocal(n.ID) {
+		return nop
+	}
+	ref := sc.resolve(n.ID)
+	var zero interp.Value
+	switch ref.typ {
+	case tInt:
+		zero = int64(0)
+	case tFloat:
+		zero = 0.0
+	}
+	switch ref.kind {
+	case refSlot:
+		return func(fr *Frame) (flow, error) {
+			if fr.slots[ref.idx] == unboundMarker {
+				fr.slots[ref.idx] = zero
+			}
+			return flowNext, nil
+		}
+	case refCell:
+		return func(fr *Frame) (flow, error) {
+			if _, set := fr.cells[ref.idx].Get(); !set {
+				fr.cells[ref.idx].SetValue(zero)
+			}
+			return flowNext, nil
+		}
+	}
+	return nop
 }
 
 // resolveStore is resolve, but writes to undeclared non-local names

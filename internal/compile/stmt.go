@@ -9,14 +9,16 @@ import (
 )
 
 // compileFunc compiles one function body into a funcCode.
-func (c *compiler) compileFunc(name string, params []minipy.Param, body []minipy.Stmt, parent *scopeCtx) (*funcCode, error) {
-	sc := c.newScope(params, body, parent)
-	bodyFn, err := c.compileStmts(sc, body)
+func (c *compiler) compileFunc(fd *minipy.FuncDef, parent *scopeCtx) (*funcCode, error) {
+	sc := c.newScope(fd, parent)
+	params := fd.Params
+	bodyFn, err := c.compileStmts(sc, fd.Body)
 	if err != nil {
 		return nil, err
 	}
 	code := &funcCode{
-		name:   name,
+		name:   fd.Name,
+		pos:    fd.NodePos(),
 		params: append([]minipy.Param(nil), params...),
 		nSlots: sc.nSlots,
 		body:   bodyFn,
@@ -28,7 +30,7 @@ func (c *compiler) compileFunc(name string, params []minipy.Param, body []minipy
 	code.paramBind = make([]binding, len(params))
 	for i, p := range params {
 		ref := sc.resolve(p.Name)
-		code.paramBind[i] = binding{kind: ref.kind, idx: ref.idx}
+		code.paramBind[i] = binding{kind: ref.kind, idx: ref.idx, typ: ref.typ}
 	}
 	return code, nil
 }
@@ -87,7 +89,7 @@ func (c *compiler) compileStmt(sc *scopeCtx, s minipy.Stmt) (stmtFn, error) {
 		return c.compileAssign(sc, t)
 	case *minipy.AnnAssign:
 		if t.Value == nil {
-			return func(fr *Frame) (flow, error) { return flowNext, nil }, nil
+			return sc.declare(t.Target), nil
 		}
 		return c.compileAssign(sc, &minipy.Assign{Targets: []minipy.Expr{t.Target}, Value: t.Value})
 	case *minipy.AugAssign:
@@ -153,7 +155,7 @@ func (c *compiler) compileStmt(sc *scopeCtx, s minipy.Stmt) (stmtFn, error) {
 	case *minipy.For:
 		return c.compileFor(sc, t)
 	case *minipy.FuncDef:
-		mk, err := c.compileClosure(sc, t.Name, t.Params, t.Body)
+		mk, err := c.compileClosure(sc, t)
 		if err != nil {
 			return nil, err
 		}

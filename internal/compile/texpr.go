@@ -767,41 +767,66 @@ func (c *compiler) compileCond(sc *scopeCtx, e minipy.Expr) (func(fr *Frame) (bo
 	}, nil
 }
 
+// storeTyped compiles "name = value" for a binding typed int or float
+// (ref.typ): value is computed unboxed on that path, coerced or
+// refused like any store into a typed binding, and kept in the
+// binding's slot or, boxed, in the cell of a captured one.
+func (c *compiler) storeTyped(sc *scopeCtx, ref varRef, value minipy.Expr) (stmtFn, error) {
+	idx, slot := ref.idx, ref.kind == refFSlot || ref.kind == refISlot
+	if ref.typ == tFloat {
+		vf, err := c.compileFloat(sc, value)
+		if err != nil {
+			return nil, err
+		}
+		if !slot {
+			return boxedStore(vf, ref), nil
+		}
+		return func(fr *Frame) (flow, error) {
+			v, err := vf(fr)
+			if err != nil {
+				return flowNext, err
+			}
+			fr.f[idx] = v
+			return flowNext, nil
+		}, nil
+	}
+	vf, err := c.compileInt(sc, value)
+	if err != nil {
+		return nil, err
+	}
+	if !slot {
+		return boxedStore(vf, ref), nil
+	}
+	return func(fr *Frame) (flow, error) {
+		v, err := vf(fr)
+		if err != nil {
+			return flowNext, err
+		}
+		fr.i[idx] = v
+		return flowNext, nil
+	}, nil
+}
+
+// boxedStore stores the unboxed result of vf into the cell ref names.
+func boxedStore[T int64 | float64](vf func(fr *Frame) (T, error), ref varRef) stmtFn {
+	return func(fr *Frame) (flow, error) {
+		v, err := vf(fr)
+		if err != nil {
+			return flowNext, err
+		}
+		ref.cellIn(fr).SetValue(v)
+		return flowNext, nil
+	}
+}
+
 // compileTypedAssign handles "x = expr" and "a[i] = expr" when the
 // target or value is type-specialized. ok=false means no fast path.
 func (c *compiler) compileTypedAssign(sc *scopeCtx, target minipy.Expr, value minipy.Expr) (stmtFn, bool, error) {
 	switch d := target.(type) {
 	case *minipy.Name:
-		ref := sc.resolve(d.ID)
-		switch ref.kind {
-		case refFSlot:
-			vf, err := c.compileFloat(sc, value)
-			if err != nil {
-				return nil, true, err
-			}
-			idx := ref.idx
-			return func(fr *Frame) (flow, error) {
-				v, err := vf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				fr.f[idx] = v
-				return flowNext, nil
-			}, true, nil
-		case refISlot:
-			vf, err := c.compileInt(sc, value)
-			if err != nil {
-				return nil, true, err
-			}
-			idx := ref.idx
-			return func(fr *Frame) (flow, error) {
-				v, err := vf(fr)
-				if err != nil {
-					return flowNext, err
-				}
-				fr.i[idx] = v
-				return flowNext, nil
-			}, true, nil
+		if ref := sc.resolveStore(d.ID); isNumeric(ref.typ) {
+			f, err := c.storeTyped(sc, ref, value)
+			return f, true, err
 		}
 	case *minipy.Index:
 		// a[i] = <float expr> with a float-specialized list.
@@ -857,45 +882,14 @@ func (c *compiler) compileTypedAugAssign(sc *scopeCtx, t *minipy.AugAssign) (stm
 		}
 		return nil, false, nil
 	}
-	ref := sc.resolve(n.ID)
-	switch ref.kind {
-	case refFSlot:
-		rhs := &minipy.BinOp{Op: t.Op, L: n, R: t.Value}
-		rhs.P = t.NodePos()
-		vf, err := c.compileFloat(sc, rhs)
-		if err != nil {
-			return nil, true, err
-		}
-		idx := ref.idx
-		return func(fr *Frame) (flow, error) {
-			v, err := vf(fr)
-			if err != nil {
-				return flowNext, err
-			}
-			fr.f[idx] = v
-			return flowNext, nil
-		}, true, nil
-	case refISlot:
-		// int //=, %= etc. stay int; += float would have inferred the
-		// variable float instead.
-		rhs := &minipy.BinOp{Op: t.Op, L: n, R: t.Value}
-		rhs.P = t.NodePos()
-		if exprType(rhs, sc.types) != tInt {
-			return nil, false, nil
-		}
-		vf, err := c.compileInt(sc, rhs)
-		if err != nil {
-			return nil, true, err
-		}
-		idx := ref.idx
-		return func(fr *Frame) (flow, error) {
-			v, err := vf(fr)
-			if err != nil {
-				return flowNext, err
-			}
-			fr.i[idx] = v
-			return flowNext, nil
-		}, true, nil
+	ref := sc.resolveStore(n.ID)
+	rhs := &minipy.BinOp{Op: t.Op, L: n, R: t.Value}
+	rhs.P = t.NodePos()
+	// int //=, %= etc. stay int; += float would have inferred the
+	// variable float instead.
+	if !isNumeric(ref.typ) || ref.typ == tInt && exprType(rhs, sc.types) != tInt {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	f, err := c.storeTyped(sc, ref, rhs)
+	return f, true, err
 }

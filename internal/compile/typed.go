@@ -14,6 +14,10 @@ const (
 	tBoxed
 )
 
+func (t valType) String() string {
+	return [...]string{"unknown", "int", "float", "object"}[t]
+}
+
 func joinTypes(a, b valType) valType {
 	if a == b {
 		return a
@@ -30,182 +34,211 @@ func joinTypes(a, b valType) valType {
 	return tBoxed
 }
 
-// inferTypes runs a fixed-point dataflow over one function body:
-// int/float annotations seed variable types, range loop variables are
-// ints, and every assignment joins the assigned expression's static
-// type into the target. Variables that end boxed (or conflicted) stay
-// on the boxed path.
-//
-// One statement is trusted beyond what the types prove: the declaration
-// "x: int = e" / "x: float = e" whose initializer has no static type
-// only because it reads list elements or names of an enclosing scope
-// (numericSource). Like a Cython cdef, x keeps its declared type and
-// the store coerces the value or raises TypeError. Any other untyped
-// value — a call result, None, a generic for target, a plain assignment
-// — still boxes the variable. isLocal tells the function's own names
-// from those of enclosing scopes.
-func inferTypes(params []minipy.Param, body []minipy.Stmt, isLocal func(string) bool) map[string]valType {
-	types := make(map[string]valType)
-	// annotate seeds name from its annotation and reports whether that
-	// declared it int or float.
-	annotate := func(name string, ann minipy.Expr) bool {
-		if n, ok := ann.(*minipy.Name); ok {
-			switch n.ID {
-			case "int":
-				types[name] = joinTypes(types[name], tInt)
-				return true
-			case "float":
-				types[name] = joinTypes(types[name], tFloat)
-				return true
-			default:
-				types[name] = tBoxed
-			}
-		}
-		return false
-	}
-	for _, p := range params {
-		if p.Annotation != nil {
-			annotate(p.Name, p.Annotation)
-		}
-	}
+// typeEnv is the typing of one function of a def tree. A declared type
+// belongs to a binding — the function that owns the name, and the name
+// — not to the function body that happens to hold a statement: own has
+// the type of every binding this function owns (tUnknown until a store
+// or annotation says more), and a name a function only reads or
+// declares nonlocal is typed by the function around it that owns it.
+type typeEnv struct {
+	parent *typeEnv
+	scope  *minipy.ScopeInfo
+	own    map[string]valType
+	kids   map[*minipy.FuncDef]*typeEnv
+}
 
-	join := func(name string, t valType) {
-		types[name] = joinTypes(types[name], t)
+func newTypeEnv(fd *minipy.FuncDef, parent *typeEnv) *typeEnv {
+	t := &typeEnv{parent: parent, scope: minipy.AnalyzeScope(fd.Params, fd.Body), kids: map[*minipy.FuncDef]*typeEnv{}}
+	t.own = make(map[string]valType, len(t.scope.Locals))
+	for _, name := range t.scope.Locals {
+		t.own[name] = tUnknown
 	}
+	return t
+}
 
-	var scanStmts func(body []minipy.Stmt)
-	scanStmts = func(body []minipy.Stmt) {
-		for _, s := range body {
-			switch t := s.(type) {
-			case *minipy.AnnAssign:
-				if n, ok := t.Target.(*minipy.Name); ok {
-					numeric := annotate(n.ID, t.Annotation)
-					if t.Value == nil {
-						continue
-					}
-					vt := exprType(t.Value, types)
-					if vt == tBoxed && numeric && numericSource(t.Value, types, isLocal) {
-						continue // the declaration is trusted
-					}
-					join(n.ID, vt)
-				}
-			case *minipy.Assign:
-				vt := exprType(t.Value, types)
-				for _, tgt := range t.Targets {
-					if n, ok := tgt.(*minipy.Name); ok {
-						join(n.ID, vt)
-					}
-				}
-			case *minipy.AugAssign:
-				if n, ok := t.Target.(*minipy.Name); ok {
-					cur := types[n.ID]
-					res := binOpType(t.Op, cur, exprType(t.Value, types))
-					join(n.ID, res)
-				}
-			case *minipy.For:
-				if n, ok := t.Target.(*minipy.Name); ok {
-					if isRangeCall(t.Iter) {
-						join(n.ID, tInt)
-					} else {
-						join(n.ID, tBoxed)
-					}
-				} else {
-					// Tuple targets stay boxed.
-					markTargetsBoxed(t.Target, types)
-				}
-				scanStmts(t.Body)
-			case *minipy.If:
-				scanStmts(t.Body)
-				scanStmts(t.Else)
-			case *minipy.While:
-				scanStmts(t.Body)
-			case *minipy.With:
-				scanStmts(t.Body)
-			case *minipy.Try:
-				scanStmts(t.Body)
-				for _, h := range t.Handlers {
-					if h.Name != "" {
-						types[h.Name] = tBoxed
-					}
-					scanStmts(h.Body)
-				}
-				scanStmts(t.Final)
-			case *minipy.FuncDef:
-				types[t.Name] = tBoxed
-				// Nested bodies are separate scopes.
-			case *minipy.Del:
-				for _, tgt := range t.Targets {
-					markTargetsBoxed(tgt, types)
-				}
-			}
+// binding finds the function that owns the binding name refers to from
+// t, and the binding's type; the owner is nil for a module global or a
+// builtin, and under a nil t, the typing of untyped mode.
+func (t *typeEnv) binding(name string) (owner *typeEnv, vt valType) {
+	for e := t; e != nil; e = e.parent {
+		if vt, ok := e.own[name]; ok {
+			return e, vt
 		}
-	}
-	// Iterate to a fixed point; the lattice has height 3, so a few
-	// passes suffice.
-	for pass := 0; pass < 4; pass++ {
-		before := snapshot(types)
-		scanStmts(body)
-		if equalTypes(before, types) {
+		if e.scope.Globals[name] {
 			break
 		}
 	}
-	return types
+	return nil, tUnknown
+}
+
+// of is the type of the binding name refers to from t.
+func (t *typeEnv) of(name string) valType {
+	_, vt := t.binding(name)
+	return vt
+}
+
+func isNumeric(vt valType) bool { return vt == tInt || vt == tFloat }
+
+// inferTypes runs a fixed-point dataflow over an outermost function
+// and every function nested in it: int/float annotations seed binding
+// types, range loop variables are ints, and every assignment — in the
+// owner's body or in a nested function that names the binding nonlocal
+// — joins the assigned expression's static type into the binding.
+// Bindings that end boxed (or conflicted) stay on the boxed path.
+//
+// One statement is trusted beyond what the types prove: the declaration
+// "x: int = e" / "x: float = e" whose initializer has no static type
+// only because it reads list elements or untyped names of an enclosing
+// scope (numericSource). Like a Cython cdef, x keeps its declared type
+// and the store coerces the value or raises TypeError. Any other untyped
+// value — a call result, None, a generic for target, a plain assignment
+// — still boxes the variable.
+func inferTypes(fd *minipy.FuncDef) *typeEnv {
+	root := newTypeEnv(fd, nil)
+	// Iterate to the fixed point: a pass that changes anything moves a
+	// binding up a lattice of height 3, so a few passes suffice.
+	for changed := true; changed; {
+		changed = false
+		root.scan(fd, &changed)
+	}
+	return root
+}
+
+// join joins vt into the binding name refers to from t.
+func (t *typeEnv) join(name string, vt valType, changed *bool) {
+	if o, was := t.binding(name); o != nil && joinTypes(was, vt) != was {
+		o.own[name] = joinTypes(was, vt)
+		*changed = true
+	}
+}
+
+// annotate joins name's annotation in and reports whether that
+// declared it int or float.
+func (t *typeEnv) annotate(name string, ann minipy.Expr, changed *bool) bool {
+	n, ok := ann.(*minipy.Name)
+	switch {
+	case !ok:
+		return false
+	case n.ID == "int":
+		t.join(name, tInt, changed)
+	case n.ID == "float":
+		t.join(name, tFloat, changed)
+	default:
+		t.join(name, tBoxed, changed)
+		return false
+	}
+	return true
+}
+
+// scan is one pass over fd, whose typing t is, and the functions
+// nested in it.
+func (t *typeEnv) scan(fd *minipy.FuncDef, changed *bool) {
+	for _, p := range fd.Params {
+		if p.Annotation != nil {
+			t.annotate(p.Name, p.Annotation, changed)
+		}
+	}
+	t.scanStmts(fd.Body, changed)
+}
+
+func (t *typeEnv) scanStmts(body []minipy.Stmt, changed *bool) {
+	for _, s := range body {
+		switch s := s.(type) {
+		case *minipy.AnnAssign:
+			if n, ok := s.Target.(*minipy.Name); ok {
+				numeric := t.annotate(n.ID, s.Annotation, changed)
+				if s.Value == nil {
+					continue
+				}
+				vt := exprType(s.Value, t)
+				if vt == tBoxed && numeric && numericSource(s.Value, t) {
+					continue // the declaration is trusted
+				}
+				t.join(n.ID, vt, changed)
+			}
+		case *minipy.Assign:
+			vt := exprType(s.Value, t)
+			for _, tgt := range s.Targets {
+				if n, ok := tgt.(*minipy.Name); ok {
+					t.join(n.ID, vt, changed)
+				}
+			}
+		case *minipy.AugAssign:
+			if n, ok := s.Target.(*minipy.Name); ok {
+				t.join(n.ID, binOpType(s.Op, t.of(n.ID), exprType(s.Value, t)), changed)
+			}
+		case *minipy.For:
+			if n, ok := s.Target.(*minipy.Name); ok && isRangeCall(s.Iter) {
+				t.join(n.ID, tInt, changed)
+			} else {
+				// Generic iteration and tuple targets stay boxed.
+				t.markBoxed(s.Target, changed)
+			}
+			t.scanStmts(s.Body, changed)
+		case *minipy.If:
+			t.scanStmts(s.Body, changed)
+			t.scanStmts(s.Else, changed)
+		case *minipy.While:
+			t.scanStmts(s.Body, changed)
+		case *minipy.With:
+			t.scanStmts(s.Body, changed)
+		case *minipy.Try:
+			t.scanStmts(s.Body, changed)
+			for _, h := range s.Handlers {
+				t.join(h.Name, tBoxed, changed)
+				t.scanStmts(h.Body, changed)
+			}
+			t.scanStmts(s.Final, changed)
+		case *minipy.FuncDef:
+			t.join(s.Name, tBoxed, changed)
+			kid := t.kids[s]
+			if kid == nil {
+				kid = newTypeEnv(s, t)
+				t.kids[s] = kid
+			}
+			kid.scan(s, changed)
+		case *minipy.Del:
+			for _, tgt := range s.Targets {
+				t.markBoxed(tgt, changed)
+			}
+		}
+	}
 }
 
 // numericSource reports whether e, which has no static type, is built
 // only from what a well-typed numeric program makes numbers of: list
 // elements, names of enclosing scopes, typed locals and literals,
 // combined by arithmetic. A call, None or a boxed local is not.
-func numericSource(e minipy.Expr, types map[string]valType, isLocal func(string) bool) bool {
+func numericSource(e minipy.Expr, types *typeEnv) bool {
 	switch t := e.(type) {
 	case *minipy.IntLit, *minipy.FloatLit:
 		return true
 	case *minipy.Name:
-		return !isLocal(t.ID) || types[t.ID] == tInt || types[t.ID] == tFloat
+		return !types.scope.IsLocal(t.ID) || isNumeric(types.of(t.ID))
 	case *minipy.Index:
 		_, ok := t.X.(*minipy.Name)
 		return ok
 	case *minipy.UnaryOp:
-		return t.Op != "not" && numericSource(t.X, types, isLocal)
+		return t.Op != "not" && numericSource(t.X, types)
 	case *minipy.BinOp:
-		return numericSource(t.L, types, isLocal) && numericSource(t.R, types, isLocal)
+		return numericSource(t.L, types) && numericSource(t.R, types)
 	}
 	return false
 }
 
-func markTargetsBoxed(e minipy.Expr, types map[string]valType) {
-	switch t := e.(type) {
+func (t *typeEnv) markBoxed(e minipy.Expr, changed *bool) {
+	switch e := e.(type) {
 	case *minipy.Name:
-		types[t.ID] = tBoxed
+		t.join(e.ID, tBoxed, changed)
 	case *minipy.TupleLit:
-		for _, el := range t.Elts {
-			markTargetsBoxed(el, types)
+		for _, el := range e.Elts {
+			t.markBoxed(el, changed)
 		}
 	case *minipy.ListLit:
-		for _, el := range t.Elts {
-			markTargetsBoxed(el, types)
+		for _, el := range e.Elts {
+			t.markBoxed(el, changed)
 		}
 	}
-}
-
-func snapshot(m map[string]valType) map[string]valType {
-	out := make(map[string]valType, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func equalTypes(a, b map[string]valType) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 func isRangeCall(e minipy.Expr) bool {
@@ -226,14 +259,14 @@ var mathFloatFns = map[string]bool{
 
 // exprType computes the static type of an expression under the
 // current variable typing.
-func exprType(e minipy.Expr, types map[string]valType) valType {
+func exprType(e minipy.Expr, types *typeEnv) valType {
 	switch t := e.(type) {
 	case *minipy.IntLit:
 		return tInt
 	case *minipy.FloatLit:
 		return tFloat
 	case *minipy.Name:
-		if vt, ok := types[t.ID]; ok {
+		if vt := types.of(t.ID); vt != tUnknown {
 			return vt
 		}
 		return tBoxed

@@ -54,6 +54,17 @@ func (th *Thread) execStmt(fr *frame, s minipy.Stmt) error {
 		// Annotations drive the CompiledDT specializer; the
 		// interpreter only performs the assignment part.
 		if t.Value == nil {
+			// A bare declaration leaves a bound name alone and starts an
+			// unbound local from None (CompiledDT starts an int or float
+			// one from zero): the private copy of a declared variable is
+			// declared like it, and reads as "no value" until assigned.
+			if n, ok := t.Target.(*minipy.Name); ok && fr.scope != nil && fr.scope.IsLocal(n.ID) {
+				if c, ok := fr.env.Lookup(n.ID); ok {
+					if _, set := c.Get(); !set {
+						c.SetValue(nil)
+					}
+				}
+			}
 			return nil
 		}
 		v, err := th.evalExpr(fr, t.Value)

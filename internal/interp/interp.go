@@ -190,6 +190,12 @@ func (th *Thread) callBlocking(fn func() error) error {
 // RunModule executes a parsed module at top level and returns the
 // module environment.
 func (in *Interp) RunModule(mod *minipy.Module) error {
+	// The scope cache is for a def executed over and over within a run
+	// (functions carry their Scope). Keeping it across runs would hold
+	// the AST of every module a long-lived session ever ran.
+	in.scopeMu.Lock()
+	clear(in.scopes)
+	in.scopeMu.Unlock()
 	th := in.MainThread()
 	defer th.Release()
 	return th.execBlock(in.globals, in.globals, mod.Body)

@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/omp4go/omp4go/internal/rt"
 )
 
 func TestMoreListMethods(t *testing.T) {
@@ -335,5 +338,28 @@ func TestUnparseViaDumpOutputRunnable(t *testing.T) {
 	// Sanity that runErr distinguishes messages (guards helper).
 	if !strings.Contains("ZeroDivisionError: x", "ZeroDivisionError") {
 		t.Fatal("helper sanity")
+	}
+}
+
+// TestSessionDoesNotRetainModules: a long-lived interpreter that runs
+// module after module (a serve session) must not hold every module's
+// AST through the def-scope cache. Functions defined by earlier modules
+// still work: they carry their own scope.
+func TestSessionDoesNotRetainModules(t *testing.T) {
+	var buf bytes.Buffer
+	in := New(Options{Stdout: &buf, Layer: rt.LayerAtomic, Getenv: func(string) string { return "" }})
+	if err := in.RunSource("def keep(x):\n    def inner():\n        return x + 1\n    return inner()\n", "first.py"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := in.RunSource("def f(x):\n    return x * 2\nprint(f(keep(20)))\n", "next.py"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := strings.Repeat("42\n", 50); buf.String() != want {
+		t.Fatalf("stdout = %q", buf.String())
+	}
+	if n := len(in.scopes); n > 2 {
+		t.Fatalf("scope cache holds %d defs after 51 modules, want those of the last run", n)
 	}
 }

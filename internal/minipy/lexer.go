@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lex tokenizes MiniPy source, producing the INDENT/DEDENT structure
@@ -88,7 +89,7 @@ func (lx *lexer) run() error {
 			if err := lx.lexNumber(); err != nil {
 				return err
 			}
-		case isNameStart(rune(c)):
+		case isNameStart(lx.runeAt(lx.i)):
 			lx.lexName()
 		default:
 			if err := lx.lexOp(); err != nil {
@@ -169,64 +170,52 @@ measured:
 
 func (lx *lexer) lexString() error {
 	pos := lx.pos()
-	quote := lx.src[lx.i]
-	// Triple-quoted strings.
-	if strings.HasPrefix(lx.src[lx.i:], string(quote)+string(quote)+string(quote)) {
-		lx.i += 3
-		var b strings.Builder
-		for {
-			if lx.i+2 >= len(lx.src)+1 {
-				return lx.errf("unterminated triple-quoted string")
+	end := lx.src[lx.i : lx.i+1]
+	triple := lx.i+2 < len(lx.src) && lx.src[lx.i+1] == end[0] && lx.src[lx.i+2] == end[0]
+	if triple {
+		end = lx.src[lx.i : lx.i+3]
+	}
+	lx.i += len(end)
+	// The literal's bytes are the source's, verbatim (the source is
+	// UTF-8 and so is the value): a slice of it, until an escape makes b
+	// take over, run being the start of the bytes b has yet to copy.
+	start, run, escaped := lx.i, lx.i, false
+	var b strings.Builder
+	for {
+		switch {
+		case triple && lx.i+1 >= len(lx.src):
+			return lx.errf("unterminated triple-quoted string")
+		case !triple && (lx.i >= len(lx.src) || lx.src[lx.i] == '\n'):
+			return lx.errf("unterminated string literal")
+		case strings.HasPrefix(lx.src[lx.i:], end):
+			text := lx.src[start:lx.i]
+			if escaped {
+				b.WriteString(lx.src[run:lx.i])
+				text = b.String()
 			}
-			if strings.HasPrefix(lx.src[lx.i:], string(quote)+string(quote)+string(quote)) {
-				lx.i += 3
-				lx.emit(STRING, b.String(), pos)
-				return nil
-			}
-			if lx.i >= len(lx.src) {
-				return lx.errf("unterminated triple-quoted string")
-			}
-			if lx.src[lx.i] == '\n' {
-				lx.line++
-				b.WriteByte('\n')
-				lx.i++
-				lx.lineOff = lx.i
-				continue
-			}
-			c, err := lx.stringChar(quote)
+			lx.i += len(end)
+			lx.emit(STRING, text, pos)
+			return nil
+		case lx.src[lx.i] == '\n':
+			lx.line++
+			lx.i++
+			lx.lineOff = lx.i
+		case lx.src[lx.i] == '\\':
+			b.WriteString(lx.src[run:lx.i])
+			c, err := lx.escape()
 			if err != nil {
 				return err
 			}
 			b.WriteString(c)
-		}
-	}
-	lx.i++
-	var b strings.Builder
-	for {
-		if lx.i >= len(lx.src) || lx.src[lx.i] == '\n' {
-			return lx.errf("unterminated string literal")
-		}
-		if lx.src[lx.i] == quote {
+			run, escaped = lx.i, true
+		default:
 			lx.i++
-			lx.emit(STRING, b.String(), pos)
-			return nil
 		}
-		c, err := lx.stringChar(quote)
-		if err != nil {
-			return err
-		}
-		b.WriteString(c)
 	}
 }
 
-// stringChar consumes one (possibly escaped) character of a string
-// body and returns its value.
-func (lx *lexer) stringChar(quote byte) (string, error) {
-	c := lx.src[lx.i]
-	if c != '\\' {
-		lx.i++
-		return string(c), nil
-	}
+// escape consumes the backslash escape at lx.i and returns its value.
+func (lx *lexer) escape() (string, error) {
 	if lx.i+1 >= len(lx.src) {
 		return "", lx.errf("dangling backslash in string")
 	}
@@ -253,7 +242,7 @@ func (lx *lexer) stringChar(quote byte) (string, error) {
 		return "", nil // line continuation inside string
 	default:
 		// Python keeps unknown escapes literally.
-		return "\\" + string(e), nil
+		return lx.src[lx.i-2 : lx.i], nil
 	}
 }
 
@@ -313,8 +302,12 @@ func (lx *lexer) lexNumber() error {
 func (lx *lexer) lexName() {
 	pos := lx.pos()
 	start := lx.i
-	for lx.i < len(lx.src) && isNameCont(rune(lx.src[lx.i])) {
-		lx.i++
+	for lx.i < len(lx.src) {
+		r, width := utf8.DecodeRuneInString(lx.src[lx.i:])
+		if !isNameCont(r) {
+			break
+		}
+		lx.i += width
 	}
 	text := lx.src[start:lx.i]
 	if keywords[text] {
@@ -352,6 +345,15 @@ func (lx *lexer) lexOp() error {
 		}
 	}
 	return lx.errf("unexpected character %q", lx.src[lx.i])
+}
+
+// runeAt decodes the character starting at byte i.
+func (lx *lexer) runeAt(i int) rune {
+	if c := lx.src[i]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[i:])
+	return r
 }
 
 func isNameStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }

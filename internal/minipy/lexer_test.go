@@ -248,3 +248,52 @@ func TestLexUnexpectedChar(t *testing.T) {
 		t.Fatal("expected error for '?'")
 	}
 }
+
+// TestLexNonASCII: the source is UTF-8 and a literal's value is its
+// bytes, whether the lexer sliced them out of the source or built them
+// around an escape; identifiers are decoded a character, not a byte, at
+// a time. (The lexer used to convert each byte to a rune of its own:
+// "café ✓" came out as "cafÃ© â", and é = 1 failed on '©'.)
+func TestLexNonASCII(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"multibyte, no escape", `"café ✓"`, "café ✓"},
+		{"single quotes", `'naïve ☃'`, "naïve ☃"},
+		{"escape before multibyte", `"a\tcafé"`, "a\tcafé"},
+		{"escape after multibyte", `"café\n✓"`, "café\n✓"},
+		{"escapes between multibyte", `"é\\\"✓\'"`, "é\\\"✓'"},
+		{"unknown escape stays literal", `"\q\é✓"`, `\q\é✓`},
+		{"NUL escape", `"✓\0✓"`, "✓\x00✓"},
+		{"line continuation", "\"caf\\\né\"", "café"},
+		{"four-byte character", "\"\U0001D6D1 = 3\"", "\U0001D6D1 = 3"},
+		{"triple-quoted multibyte", "\"\"\"café\n✓ \"quoted\" \"\"\"", "café\n✓ \"quoted\" "},
+		{"triple-quoted with escape", "'''é\\t✓\n'''", "é\t✓\n"},
+		{"empty", `""`, ""},
+	} {
+		toks, err := Lex("s = " + tc.src + "\n")
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if toks[2].Kind != STRING || toks[2].Text != tc.want {
+			t.Errorf("%s: lexed %q, want %q", tc.name, toks[2].Text, tc.want)
+		}
+	}
+
+	got := lexTexts(t, "é = 1\nnaïve_2 = é + Ωmega\n")
+	want := []string{"é", "=", "1", "naïve_2", "=", "é", "+", "Ωmega"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("identifiers: got %q, want %q", got, want)
+	}
+	// Columns stay byte offsets, and a character that starts no token is
+	// still reported by its first byte.
+	toks, err := Lex("é = \"✓\" + b\n")
+	if err != nil || toks[4].Text != "b" || toks[4].Pos.Col != 13 {
+		t.Fatalf("got %v, %v; want b at byte column 13", toks, err)
+	}
+	if _, err := Lex("a = ✓\n"); err == nil || !strings.Contains(err.Error(), `unexpected character 'â'`) {
+		t.Fatalf("err = %v, want unexpected character 'â'", err)
+	}
+	if _, err := Lex("a = \"✓\n"); err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
+		t.Fatalf("err = %v, want unterminated string literal", err)
+	}
+}

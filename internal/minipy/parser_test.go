@@ -480,6 +480,7 @@ func TestUnparseRoundTrip(t *testing.T) {
 		"def outer():\n    x = 0\n    def inner():\n        nonlocal x\n        x += 1\n    inner()\n    return x\n",
 		"t1 = 5,\nneg = -x ** 2\nquot = a // b % c\n",
 		"bits = a & b | c ^ d << 2 >> 1\n",
+		"s = \"café ✓\"\né = s + 'naïve\\t☃' + \"\"\"\U0001D6D1\n\"q\" \"\"\"\nprint(é, \"\\q\\é\")\n",
 	}
 	for _, src := range srcs {
 		m1 := parse(t, src)

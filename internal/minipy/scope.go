@@ -13,9 +13,18 @@ type ScopeInfo struct {
 	Globals map[string]bool
 	// Nonlocals are names declared with the nonlocal statement.
 	Nonlocals map[string]bool
+	// Annotations are the annotations this scope gives its names, by a
+	// parameter or an "x: T [= e]" statement, in source order.
+	Annotations []Annotation
 
 	localSet map[string]bool
 	skip     Stmt
+}
+
+// Annotation is one annotation of a name.
+type Annotation struct {
+	Name string
+	Type Expr
 }
 
 // IsLocal reports whether name binds locally in this scope.
@@ -40,6 +49,7 @@ func AnalyzeScopeExcluding(params []Param, body []Stmt, skip Stmt) *ScopeInfo {
 	}
 	for _, p := range params {
 		s.addLocal(p.Name)
+		s.annotate(p.Name, p.Annotation)
 	}
 	for _, st := range body {
 		s.scanStmt(st)
@@ -54,6 +64,12 @@ func (s *ScopeInfo) addLocal(name string) {
 	if !s.localSet[name] {
 		s.localSet[name] = true
 		s.Locals = append(s.Locals, name)
+	}
+}
+
+func (s *ScopeInfo) annotate(name string, ann Expr) {
+	if ann != nil {
+		s.Annotations = append(s.Annotations, Annotation{name, ann})
 	}
 }
 
@@ -91,6 +107,9 @@ func (s *ScopeInfo) scanStmt(st Stmt) {
 		s.bindTarget(t.Target)
 	case *AnnAssign:
 		s.bindTarget(t.Target)
+		if n, ok := t.Target.(*Name); ok {
+			s.annotate(n.ID, t.Annotation)
+		}
 	case *For:
 		s.bindTarget(t.Target)
 		for _, b := range t.Body {

@@ -253,6 +253,44 @@ func TestRuntimeErrorPosition(t *testing.T) {
 	}
 }
 
+// TestTypedArgumentErrorPosition: a compileddt tenant passing a float
+// to an int parameter gets a TypeError that names the function and the
+// parameter and is positioned at the def — captured by a nested
+// function or not (the parent commit reported line 0 for the first and
+// let the second through).
+func TestTypedArgumentErrorPosition(t *testing.T) {
+	s := startServer(t, Config{})
+	for _, src := range []string{
+		"x = 1\ndef f(k: int):\n    return k * 2\nprint(f(2.5))\n",
+		"x = 1\ndef f(k: int):\n    def g():\n        return k * 2\n    return g()\nprint(f(2.5))\n",
+	} {
+		st, rr, apiErr := postRun(t, s, "typed", RunRequest{Source: src, Mode: "compileddt"})
+		if st != http.StatusOK || rr.OK || apiErr == nil {
+			t.Fatalf("status %d resp %+v, want runtime error in response", st, rr)
+		}
+		if apiErr.ExcType != "TypeError" || !strings.Contains(apiErr.Message, "f() argument 'k': expected int, got float") {
+			t.Errorf("error = %+v, want the TypeError naming f and k", apiErr)
+		}
+		if apiErr.Pos == nil || apiErr.Pos.Line != 2 {
+			t.Errorf("pos = %+v, want line 2", apiErr.Pos)
+		}
+	}
+}
+
+// TestNonASCIISourceRoundTrip: string literals and identifiers outside
+// ASCII survive the whole path — JSON request, lexer, interpreter,
+// JSON response — byte for byte.
+func TestNonASCIISourceRoundTrip(t *testing.T) {
+	s := startServer(t, Config{})
+	text := "café ✓ \U0001D6D1"
+	for _, mode := range []string{"pure", "compileddt"} {
+		st, rr, _ := postRun(t, s, "utf8", RunRequest{Source: "é = \"" + text + "\"\nprint(é)\n", Mode: mode})
+		if st != http.StatusOK || !rr.OK || rr.Stdout != text+"\n" {
+			t.Fatalf("%s: status %d, resp %+v, want stdout %q", mode, st, rr, text+"\n")
+		}
+	}
+}
+
 // TestParseErrorPosition: syntax errors come back as parse_error with
 // a position.
 func TestParseErrorPosition(t *testing.T) {
@@ -796,42 +834,59 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 // quota error for a step quota and for a wall-clock one, and the
 // tenant's session serves the next request.
 func TestCompiledQuotaKill(t *testing.T) {
-	src := "from omp4py import *\n\n@omp\ndef spin(n: int) -> int:\n    k: int = 0\n    while True:\n        k = (k + n) % 1000\n    return k\n\nprint(spin(3))\n"
-	for _, mode := range []string{"compiled", "compileddt"} {
-		for _, tc := range []struct {
-			quota string
-			q     Quota
-		}{
-			{"steps", Quota{MaxSteps: 20_000, MaxWall: 30 * time.Second}},
-			{"deadline", Quota{MaxSteps: 1 << 50, MaxWall: 200 * time.Millisecond}},
-		} {
-			t.Run(mode+"/"+tc.quota, func(t *testing.T) {
-				s := startServer(t, Config{
-					Tokens:       []string{"small=small-key"},
-					TenantQuotas: map[string]Quota{"small": tc.q},
+	spin := "from omp4py import *\n\n@omp\ndef spin(n: int) -> int:\n    k: int = 0\n    while True:\n        k = (k + n) % 1000\n    return k\n\nprint(spin(3))\n"
+	// The benchmark's medium request class, far too long to finish: its
+	// reduction loop is a compiled kernel running as typed loop IR in
+	// compileddt, so the kill must come from the IR's back-edge poll.
+	medium := "from omp4py import *\n\n@omp\ndef work(n: int, k: int) -> int:\n    total: int = 0\n    with omp(\"parallel for reduction(+:total)\"):\n        for i in range(n):\n            total += (i * k) % 7\n    return total\n\nprint(work(300000000, 3))\n"
+	for _, prog := range []struct {
+		name, src      string
+		modes          []string
+		loLine, hiLine int
+	}{
+		{"spin", spin, []string{"compiled", "compileddt"}, 6, 7},
+		{"medium", medium, []string{"compileddt"}, 7, 8},
+	} {
+		for _, mode := range prog.modes {
+			for _, tc := range []struct {
+				quota string
+				q     Quota
+			}{
+				{"steps", Quota{MaxSteps: 20_000, MaxWall: 30 * time.Second}},
+				{"deadline", Quota{MaxSteps: 1 << 50, MaxWall: 200 * time.Millisecond}},
+			} {
+				t.Run(prog.name+"/"+mode+"/"+tc.quota, func(t *testing.T) {
+					s := startServer(t, Config{
+						Tokens:       []string{"small=small-key"},
+						TenantQuotas: map[string]Quota{"small": tc.q},
+					})
+					start := time.Now()
+					st, rr, apiErr := postRun(t, s, "small-key", RunRequest{Source: prog.src, Mode: mode})
+					if st != http.StatusOK || rr.OK || apiErr == nil {
+						t.Fatalf("status %d resp %+v, want a quota kill", st, rr)
+					}
+					if apiErr.Code != CodeQuotaKill || apiErr.Quota != tc.quota {
+						t.Fatalf("error = %+v, want code %s quota %s", apiErr, CodeQuotaKill, tc.quota)
+					}
+					if apiErr.Pos == nil || apiErr.Pos.Line < prog.loLine || apiErr.Pos.Line > prog.hiLine {
+						t.Errorf("error position = %+v, want a line of the loop", apiErr.Pos)
+					}
+					if tc.quota == "steps" && rr.Steps == 0 {
+						t.Errorf("Steps = 0, want the charged back-edges")
+					}
+					if d := time.Since(start); d > 10*time.Second {
+						t.Errorf("kill took %v", d)
+					}
+					if _, metrics := get(t, s, "/metrics", ""); prog.name == "medium" &&
+						!strings.Contains(string(metrics), `omp4go_compiled_kernel_loops_total{tenant="small"} `) {
+						t.Errorf("the medium loop did not run as a compiled kernel")
+					}
+					st, rr2, _ := postRun(t, s, "small-key", RunRequest{Source: "print(6 * 7)", Mode: mode})
+					if st != http.StatusOK || !rr2.OK || rr2.Stdout != "42\n" {
+						t.Fatalf("post-kill run: status %d, resp %+v", st, rr2)
+					}
 				})
-				start := time.Now()
-				st, rr, apiErr := postRun(t, s, "small-key", RunRequest{Source: src, Mode: mode})
-				if st != http.StatusOK || rr.OK || apiErr == nil {
-					t.Fatalf("status %d resp %+v, want a quota kill", st, rr)
-				}
-				if apiErr.Code != CodeQuotaKill || apiErr.Quota != tc.quota {
-					t.Fatalf("error = %+v, want code %s quota %s", apiErr, CodeQuotaKill, tc.quota)
-				}
-				if apiErr.Pos == nil || apiErr.Pos.Line < 6 || apiErr.Pos.Line > 7 {
-					t.Errorf("error position = %+v, want a line of the loop", apiErr.Pos)
-				}
-				if tc.quota == "steps" && rr.Steps == 0 {
-					t.Errorf("Steps = 0, want the charged back-edges")
-				}
-				if d := time.Since(start); d > 10*time.Second {
-					t.Errorf("kill took %v", d)
-				}
-				st, rr2, _ := postRun(t, s, "small-key", RunRequest{Source: "print(6 * 7)", Mode: mode})
-				if st != http.StatusOK || !rr2.OK || rr2.Stdout != "42\n" {
-					t.Fatalf("post-kill run: status %d, resp %+v", st, rr2)
-				}
-			})
+			}
 		}
 	}
 }

@@ -71,13 +71,24 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 		outside = ctx.scope
 	}
 	capture := func(priv, shared string) {
+		typ := ctx.declaredType(shared)
 		if asFunction {
-			plan.params = append(plan.params, minipy.Param{Name: priv, Default: nameRef(shared)})
+			p := minipy.Param{Name: priv, Default: nameRef(shared)}
+			if typ != "" {
+				p.Annotation = nameRef(typ)
+			}
+			plan.params = append(plan.params, p)
 			return
 		}
 		cap := tr.fresh("cap_" + shared)
 		plan.preOuter = append(plan.preOuter, assignStmt(cap, nameRef(shared)))
-		plan.preInner = append(plan.preInner, assignStmt(priv, nameRef(cap)))
+		plan.preInner = append(plan.preInner, typedDecl(priv, typ, nameRef(cap)))
+	}
+	// OpenMP private copies start uninitialized: a typed one is a bare
+	// declaration, for an untyped one None is the closest Python
+	// rendering.
+	uninit := func(priv, shared string) {
+		plan.preInner = append(plan.preInner, typedDecl(priv, ctx.declaredType(shared), nil))
 	}
 
 	addRename := func(v string) string {
@@ -103,16 +114,13 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 		if copyin[v] {
 			capture(nn, v)
 		} else {
-			plan.preInner = append(plan.preInner, assignStmt(nn, noneLit()))
+			uninit(nn, v)
 		}
 	}
 
 	for _, cl := range dir.FindAll(directive.ClausePrivate) {
 		for _, v := range cl.Vars {
-			nn := addRename(v)
-			// OpenMP private copies start uninitialized; None is the
-			// closest Python rendering.
-			plan.preInner = append(plan.preInner, assignStmt(nn, noneLit()))
+			uninit(addRename(v), v)
 		}
 	}
 	for _, cl := range dir.FindAll(directive.ClauseFirstprivate) {
@@ -123,24 +131,12 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 	}
 	for _, cl := range dir.FindAll(directive.ClauseLastprivate) {
 		for _, v := range cl.Vars {
+			// firstprivate+lastprivate combination: a clause above already
+			// made and initialized the copy; otherwise it starts unset.
+			_, already := plan.renames[v]
 			nn := addRename(v)
-			// firstprivate+lastprivate combination: the firstprivate
-			// initializer (if any) already ran; otherwise start unset.
-			already := false
-			for _, pre := range plan.preInner {
-				if a, ok := pre.(*minipy.Assign); ok {
-					if n, ok := a.Targets[0].(*minipy.Name); ok && n.ID == nn {
-						already = true
-					}
-				}
-			}
-			for _, p := range plan.params {
-				if p.Name == nn {
-					already = true
-				}
-			}
 			if !already {
-				plan.preInner = append(plan.preInner, assignStmt(nn, noneLit()))
+				uninit(nn, v)
 			}
 			plan.lastPriv = append(plan.lastPriv, [2]string{v, nn})
 		}
@@ -148,7 +144,7 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 	for _, cl := range dir.FindAll(directive.ClauseReduction) {
 		for _, v := range cl.Vars {
 			nn := addRename(v)
-			init, merge, err := tr.reductionPieces(cl.Op, v, nn, pos)
+			init, merge, err := tr.reductionPieces(cl.Op, v, nn, ctx.declaredType(v), pos)
 			if err != nil {
 				return nil, err
 			}
@@ -188,8 +184,7 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 			}
 		case directive.DefaultPrivate:
 			for _, name := range unlisted {
-				nn := addRename(name)
-				plan.preInner = append(plan.preInner, assignStmt(nn, noneLit()))
+				uninit(addRename(name), name)
 			}
 		case directive.DefaultFirstprivate:
 			for _, name := range unlisted {
@@ -207,27 +202,36 @@ func isGeneratedName(name string) bool {
 }
 
 // reductionPieces builds the private initializer and the
-// mutex-guarded merge statement for one reduction variable.
-func (tr *transformer) reductionPieces(op, shared, private string, pos minipy.Position) (minipy.Stmt, minipy.Stmt, error) {
+// mutex-guarded merge statement for one reduction variable. When the
+// variable is declared typ (int or float), the private copy of an
+// arithmetic or bitwise reduction is declared the same and starts from
+// the operator's identity as a literal of that type.
+func (tr *transformer) reductionPieces(op, shared, private, typ string, pos minipy.Position) (minipy.Stmt, minipy.Stmt, error) {
 	var init minipy.Stmt
 	var mergeExpr minipy.Expr
 	sharedRef := func() minipy.Expr { return nameRef(shared) }
 	privRef := func() minipy.Expr { return nameRef(private) }
+	identity := func(n int64) minipy.Stmt {
+		if typ == "float" {
+			return typedDecl(private, typ, &minipy.FloatLit{V: float64(n)})
+		}
+		return typedDecl(private, typ, intLit(n))
+	}
 	switch op {
 	case "+", "-":
-		init = assignStmt(private, intLit(0))
+		init = identity(0)
 		mergeExpr = &minipy.BinOp{Op: "+", L: sharedRef(), R: privRef()}
 	case "*":
-		init = assignStmt(private, intLit(1))
+		init = identity(1)
 		mergeExpr = &minipy.BinOp{Op: "*", L: sharedRef(), R: privRef()}
 	case "&":
-		init = assignStmt(private, intLit(-1))
+		init = identity(-1)
 		mergeExpr = &minipy.BinOp{Op: "&", L: sharedRef(), R: privRef()}
 	case "|":
-		init = assignStmt(private, intLit(0))
+		init = identity(0)
 		mergeExpr = &minipy.BinOp{Op: "|", L: sharedRef(), R: privRef()}
 	case "^":
-		init = assignStmt(private, intLit(0))
+		init = identity(0)
 		mergeExpr = &minipy.BinOp{Op: "^", L: sharedRef(), R: privRef()}
 	case "&&":
 		init = assignStmt(private, boolLit(true))
@@ -418,6 +422,7 @@ func (tr *transformer) parallel(ctx *fnCtx, dir *directive.Directive, w *minipy.
 
 	fnName := tr.fresh("parallel")
 	fd := &minipy.FuncDef{Name: fnName, Params: plan.params, Body: fnBody}
+	fd.P = pos // a typed firstprivate parameter refusing its value raises here
 
 	// parallel_run(fn, num_threads, if_set, if_val, label): the label
 	// carries the directive's source line into the runtime's per-region
@@ -866,6 +871,7 @@ func (tr *transformer) task(ctx *fnCtx, dir *directive.Directive, w *minipy.With
 
 	fnName := tr.fresh("task")
 	fd := &minipy.FuncDef{Name: fnName, Params: plan.params, Body: fnBody}
+	fd.P = pos // a typed firstprivate parameter refusing its value raises here
 
 	var ifSet, ifVal minipy.Expr = boolLit(false), boolLit(false)
 	if cl := dir.Find(directive.ClauseIf); cl != nil {
@@ -1049,6 +1055,7 @@ func (tr *transformer) taskloop(ctx *fnCtx, dir *directive.Directive, w *minipy.
 	params = append(params, plan.params...)
 	fnName := tr.fresh("taskloop")
 	fd := &minipy.FuncDef{Name: fnName, Params: params, Body: fnBody}
+	fd.P = pos // a typed firstprivate parameter refusing its value raises here
 
 	var gsExpr, ntExpr minipy.Expr = intLit(0), intLit(0)
 	if cl := dir.Find(directive.ClauseGrainsize); cl != nil {

@@ -390,6 +390,40 @@ func assignStmt(target string, v minipy.Expr) *minipy.Assign {
 	return &minipy.Assign{Targets: []minipy.Expr{nameRef(target)}, Value: v}
 }
 
+// typedDecl initializes a data-sharing copy of a variable declared typ
+// ("int", "float", or "" for none). A private copy has the type of its
+// original, so a typed one is a declaration, "target: typ = v", or with
+// nothing to start from "target: typ"; an untyped one is "target = v",
+// a nil v standing for None.
+func typedDecl(target, typ string, v minipy.Expr) minipy.Stmt {
+	switch {
+	case typ != "":
+		return &minipy.AnnAssign{Target: nameRef(target), Annotation: nameRef(typ), Value: v}
+	case v == nil:
+		v = noneLit()
+	}
+	return assignStmt(target, v)
+}
+
+// declaredType is "int" or "float" when the function declares name so,
+// by a parameter annotation or "x: T [= e]" statements of its own body,
+// and "" when it does not or they disagree. A data-sharing copy of a
+// declared name is declared the same (typedDecl).
+func (ctx *fnCtx) declaredType(name string) string {
+	typ := ""
+	for _, ann := range ctx.scope.Annotations {
+		t, ok := ann.Type.(*minipy.Name)
+		if ann.Name != name || !ok || t.ID != "int" && t.ID != "float" {
+			continue
+		}
+		if typ != "" && typ != t.ID {
+			return ""
+		}
+		typ = t.ID
+	}
+	return typ
+}
+
 func parseClauseExpr(cl *directive.Clause, pos minipy.Position) (minipy.Expr, error) {
 	e, err := minipy.ParseExprString(cl.Expr)
 	if err != nil {
