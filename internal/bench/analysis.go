@@ -64,57 +64,24 @@ func AnalyzeStatic(name string) (*StaticFeatures, error) {
 		return nil
 	}
 
-	var walkStmts func(body []minipy.Stmt) error
-	var walkStmt func(s minipy.Stmt) error
-	walkStmt = func(s minipy.Stmt) error {
-		switch t := s.(type) {
+	// A directive is the context of a one-item with statement or a
+	// whole expression statement.
+	minipy.Inspect(mod, func(n minipy.Node) bool {
+		var ctx minipy.Expr
+		switch t := n.(type) {
 		case *minipy.With:
 			if len(t.Items) == 1 {
-				if raw, ok := directiveString(t.Items[0].Context); ok {
-					if err := record(raw); err != nil {
-						return err
-					}
-				}
+				ctx = t.Items[0].Context
 			}
-			return walkStmts(t.Body)
 		case *minipy.ExprStmt:
-			if raw, ok := directiveString(t.X); ok {
-				return record(raw)
-			}
-			return nil
-		case *minipy.FuncDef:
-			return walkStmts(t.Body)
-		case *minipy.If:
-			if err := walkStmts(t.Body); err != nil {
-				return err
-			}
-			return walkStmts(t.Else)
-		case *minipy.While:
-			return walkStmts(t.Body)
-		case *minipy.For:
-			return walkStmts(t.Body)
-		case *minipy.Try:
-			if err := walkStmts(t.Body); err != nil {
-				return err
-			}
-			for _, h := range t.Handlers {
-				if err := walkStmts(h.Body); err != nil {
-					return err
-				}
-			}
-			return walkStmts(t.Final)
+			ctx = t.X
 		}
-		return nil
-	}
-	walkStmts = func(body []minipy.Stmt) error {
-		for _, s := range body {
-			if err := walkStmt(s); err != nil {
-				return err
-			}
+		if raw, ok := directiveString(ctx); ok && err == nil {
+			err = record(raw)
 		}
-		return nil
-	}
-	if err := walkStmts(mod.Body); err != nil {
+		return err == nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if explicitBarrier {

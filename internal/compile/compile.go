@@ -144,9 +144,13 @@ type stmtFn func(fr *Frame) (flow, error)
 
 type exprFn func(fr *Frame) (interp.Value, error)
 
-type floatFn func(fr *Frame) (float64, error)
+// numFn is an unboxed computation on one of the two typed paths.
+type numFn[T int64 | float64] func(fr *Frame) (T, error)
 
-type intFn func(fr *Frame) (int64, error)
+type (
+	floatFn = numFn[float64]
+	intFn   = numFn[int64]
+)
 
 // funcCode is the compiled form of one function.
 type funcCode struct {
@@ -157,7 +161,7 @@ type funcCode struct {
 	nCells    int
 	nF, nI    int
 	captures  []captureSrc // how to fill frame.free from the enclosing frame
-	paramBind []binding
+	paramBind []varRef     // where each call argument goes
 	body      stmtFn
 }
 
@@ -165,14 +169,6 @@ type funcCode struct {
 type captureSrc struct {
 	fromFree bool
 	idx      int
-}
-
-// binding places a call argument into the frame; typ is the type an
-// int or float parameter coerces it to.
-type binding struct {
-	kind refKind
-	idx  int
-	typ  valType
 }
 
 // entry builds the callable entry point for this code, closing over
@@ -252,25 +248,26 @@ func (code *funcCode) entry(defFrame *Frame, fnVal *interp.Function) func(*inter
 	}
 }
 
-// storeBinding binds a parameter. Like every store into a typed
-// binding it coerces the argument, and reports false when it cannot.
-func (fr *Frame) storeBinding(b binding, v interp.Value) (ok bool) {
-	switch b.kind {
+// storeBinding stores v into the binding ref names. Like every store
+// into a binding typed int or float it coerces the value, and reports
+// false when it cannot.
+func (fr *Frame) storeBinding(ref varRef, v interp.Value) (ok bool) {
+	switch ref.kind {
+	case refFSlot:
+		fr.f[ref.idx], ok = interp.AsFloat(v)
+		return ok
+	case refISlot:
+		fr.i[ref.idx], ok = interp.AsInt(v)
+		return ok
 	case refSlot:
-		fr.slots[b.idx] = v
-	case refCell:
-		if isNumeric(b.typ) {
-			if v, ok = coerce(b.typ, v); !ok {
+		fr.slots[ref.idx] = v
+	default: // refCell, refFree
+		if isNumeric(ref.typ) {
+			if v, ok = coerce(ref.typ, v); !ok {
 				return false
 			}
 		}
-		fr.cells[b.idx].SetValue(v)
-	case refFSlot:
-		fr.f[b.idx], ok = interp.AsFloat(v)
-		return ok
-	case refISlot:
-		fr.i[b.idx], ok = interp.AsInt(v)
-		return ok
+		ref.cellIn(fr).SetValue(v)
 	}
 	return true
 }

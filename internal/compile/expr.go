@@ -19,32 +19,27 @@ func (c *compiler) compileExpr(sc *scopeCtx, e minipy.Expr) (exprFn, error) {
 		}
 		switch vt {
 		case tFloat:
-			ff, err := c.compileFloat(sc, e)
-			if err != nil {
-				return nil, err
-			}
-			return func(fr *Frame) (interp.Value, error) {
-				f, err := ff(fr)
-				if err != nil {
-					return nil, err
-				}
-				return f, nil
-			}, nil
+			return boxNum(c, sc, floatKind, e)
 		case tInt:
-			inf, err := c.compileInt(sc, e)
-			if err != nil {
-				return nil, err
-			}
-			return func(fr *Frame) (interp.Value, error) {
-				n, err := inf(fr)
-				if err != nil {
-					return nil, err
-				}
-				return n, nil
-			}, nil
+			return boxNum(c, sc, intKind, e)
 		}
 	}
 	return c.compileExprBoxed(sc, e)
+}
+
+// boxNum computes e unboxed on the path d and boxes the result.
+func boxNum[T int64 | float64](c *compiler, sc *scopeCtx, d *numKind[T], e minipy.Expr) (exprFn, error) {
+	f, err := compileNum(c, sc, d, e)
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) (interp.Value, error) {
+		v, err := f(fr)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	}, nil
 }
 
 func (c *compiler) compileExprBoxed(sc *scopeCtx, e minipy.Expr) (exprFn, error) {

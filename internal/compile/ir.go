@@ -11,7 +11,7 @@ import (
 // (irlower.go) becomes one irProg: linear register code over the
 // frame's unboxed files fr.i / fr.f, run by the one switch loop in
 // exec. No closure is called and no error returned per node; a failing
-// instruction records an irFault and leaves through the frame's fault
+// instruction records its Fault and leaves through the frame's fault
 // slot, its source position looked up by pc. Lists the nest subscripts
 // are hoisted once per execution into the frame's fv/iv views and
 // loop-invariant boxed scalars are unboxed into registers. enter checks
@@ -64,12 +64,12 @@ const (
 	opAddI // a = b op c
 	opSubI
 	opMulI
-	opBinI // i[a] = irBinI[d](i[b], i[c])
+	opBinI // i[a] = binI[d](i[b], i[c])
 	opAddF
 	opSubF
 	opMulF
 	opDivF
-	opBinF    // f[a] = irBinF[d](f[b], f[c])
+	opBinF    // f[a] = binF[d](f[b], f[c])
 	opMulAddF // f[a] = f[d] + f[b]*f[c], rounded twice
 	opMulSubF // f[a] = f[d] - f[b]*f[c]
 
@@ -87,46 +87,13 @@ type irInst struct {
 	a, b, c, d int32
 }
 
-// irFault names what a failing operation raises: the type and message
-// the closure chain (texpr.go) and the interpreter raise for the same
-// operation, which TestIRFaultsMatch holds the three to.
-type irFault uint8
-
-const (
-	faultNone irFault = iota
-	faultDivF
-	faultFloorDivF
-	faultModF
-	faultDivI
-	faultShift
-	faultDomain
-	faultStep
-	faultLoad
-	faultStore
-)
-
-var irFaultErrs = [...][2]string{
-	faultDivF:      {"ZeroDivisionError", "float division by zero"},
-	faultFloorDivF: {"ZeroDivisionError", "float floor division by zero"},
-	faultModF:      {"ZeroDivisionError", "float modulo"},
-	faultDivI:      {"ZeroDivisionError", "integer division or modulo by zero"},
-	faultShift:     {"ValueError", "negative shift count"},
-	faultDomain:    {"ValueError", "math domain error"},
-	faultStep:      {"ValueError", "range() arg 3 must not be zero"},
-	faultLoad:      {"IndexError", "list index out of range"},
-	faultStore:     {"IndexError", "list assignment index out of range"},
-}
-
-func (ft irFault) err(pos minipy.Position) error {
-	return interp.NewPyError(irFaultErrs[ft][0], irFaultErrs[ft][1], pos)
-}
-
-// numBin is a binary operator that can fault or is too rare to earn an
-// opcode; exec reaches it through opBinI/opBinF. Each computes what the
-// closure of the same operator in texpr.go computes.
+// numBin is a binary operator beyond + - *: one that can fault or is
+// too rare to earn an opcode. The IR reaches it through opBinI/opBinF
+// and the typed closures (texpr.go) call the same entry; the operators
+// that can fault are the interpreter's own definitions (interp/numops.go).
 type numBin[T int64 | float64] struct {
 	op string
-	fn func(l, r T) (T, irFault)
+	fn func(l, r T) (T, interp.Fault)
 }
 
 func binIndex[T int64 | float64](tab []numBin[T], op string) int {
@@ -140,86 +107,42 @@ func binIndex[T int64 | float64](tab []numBin[T], op string) int {
 
 // minOf / maxOf follow the builtins: of equal values min keeps the
 // earlier argument and max takes the later one.
-func minOf[T int64 | float64](l, r T) (T, irFault) {
+func minOf[T int64 | float64](l, r T) (T, interp.Fault) {
 	if r < l {
-		return r, faultNone
+		return r, interp.FaultNone
 	}
-	return l, faultNone
+	return l, interp.FaultNone
 }
 
-func maxOf[T int64 | float64](l, r T) (T, irFault) {
+func maxOf[T int64 | float64](l, r T) (T, interp.Fault) {
 	if r < l {
-		return l, faultNone
+		return l, interp.FaultNone
 	}
-	return r, faultNone
+	return r, interp.FaultNone
 }
 
-var irBinI = []numBin[int64]{
-	{"//", func(l, r int64) (int64, irFault) {
-		if r == 0 {
-			return 0, faultDivI
-		}
-		q := l / r
-		if (l%r != 0) && ((l < 0) != (r < 0)) {
-			q--
-		}
-		return q, faultNone
-	}},
-	{"%", func(l, r int64) (int64, irFault) {
-		if r == 0 {
-			return 0, faultDivI
-		}
-		m := l % r
-		if m != 0 && ((l < 0) != (r < 0)) {
-			m += r
-		}
-		return m, faultNone
-	}},
-	{"&", func(l, r int64) (int64, irFault) { return l & r, faultNone }},
-	{"|", func(l, r int64) (int64, irFault) { return l | r, faultNone }},
-	{"^", func(l, r int64) (int64, irFault) { return l ^ r, faultNone }},
-	{"<<", func(l, r int64) (int64, irFault) {
-		if r < 0 {
-			return 0, faultShift
-		}
-		return l << uint(r), faultNone
-	}},
-	{">>", func(l, r int64) (int64, irFault) {
-		if r < 0 {
-			return 0, faultShift
-		}
-		return l >> uint(r), faultNone
-	}},
+// binI are the int operators (int / and ** are not: their results are
+// floats, or may be).
+var binI = []numBin[int64]{
+	{"//", interp.FloorDivI},
+	{"%", interp.ModI},
+	{"&", func(l, r int64) (int64, interp.Fault) { return l & r, interp.FaultNone }},
+	{"|", func(l, r int64) (int64, interp.Fault) { return l | r, interp.FaultNone }},
+	{"^", func(l, r int64) (int64, interp.Fault) { return l ^ r, interp.FaultNone }},
+	{"<<", interp.ShlI},
+	{">>", interp.ShrI},
 	{"min", minOf[int64]},
 	{"max", maxOf[int64]},
 }
 
-var irBinF = []numBin[float64]{
-	{"/", func(l, r float64) (float64, irFault) {
-		if r == 0 {
-			return 0, faultDivF
-		}
-		return l / r, faultNone
-	}},
-	{"//", func(l, r float64) (float64, irFault) {
-		if r == 0 {
-			return 0, faultFloorDivF
-		}
-		return math.Floor(l / r), faultNone
-	}},
-	{"%", func(l, r float64) (float64, irFault) {
-		if r == 0 {
-			return 0, faultModF
-		}
-		m := math.Mod(l, r)
-		if m != 0 && ((m < 0) != (r < 0)) {
-			m += r
-		}
-		return m, faultNone
-	}},
-	{"**", func(l, r float64) (float64, irFault) { return math.Pow(l, r), faultNone }},
-	{"atan2", func(l, r float64) (float64, irFault) { return math.Atan2(l, r), faultNone }},
-	{"fmod", func(l, r float64) (float64, irFault) { return math.Mod(l, r), faultNone }},
+// binF are the float operators and math's two-argument functions.
+var binF = []numBin[float64]{
+	{"/", interp.DivF},
+	{"//", interp.FloorDivF},
+	{"%", interp.ModF},
+	{"**", func(l, r float64) (float64, interp.Fault) { return math.Pow(l, r), interp.FaultNone }},
+	{"atan2", func(l, r float64) (float64, interp.Fault) { return math.Atan2(l, r), interp.FaultNone }},
+	{"fmod", func(l, r float64) (float64, interp.Fault) { return math.Mod(l, r), interp.FaultNone }},
 	{"min", minOf[float64]},
 	{"max", maxOf[float64]},
 }
@@ -382,7 +305,7 @@ func elem(i int64, n int) (int64, bool) {
 // with fr.ret set, or flowNext with fr.fault set if the loop faulted.
 func (p *irProg) exec(fr *Frame) flow {
 	code, f, r := p.code, fr.f, fr.i
-	fault := faultNone
+	fault := interp.FaultNone
 	pc := int32(0)
 run:
 	for {
@@ -407,7 +330,7 @@ run:
 			n := int64(0)
 			switch {
 			case step == 0:
-				fault = faultStep
+				fault = interp.FaultStep
 				break run
 			case step > 0 && start < stop:
 				n = (stop - start + step - 1) / step
@@ -499,7 +422,7 @@ run:
 			x := f[in.b]
 			y := p.math1[in.c](x)
 			if math.IsNaN(y) && !math.IsNaN(x) {
-				fault = faultDomain
+				fault = interp.FaultDomain
 				break run
 			}
 			f[in.a] = y
@@ -511,8 +434,8 @@ run:
 		case opMulI:
 			r[in.a] = r[in.b] * r[in.c]
 		case opBinI:
-			v, ft := irBinI[in.d].fn(r[in.b], r[in.c])
-			if ft != faultNone {
+			v, ft := binI[in.d].fn(r[in.b], r[in.c])
+			if ft != interp.FaultNone {
 				fault = ft
 				break run
 			}
@@ -526,13 +449,13 @@ run:
 		case opDivF:
 			d := f[in.c]
 			if d == 0 {
-				fault = faultDivF
+				fault = interp.FaultDivF
 				break run
 			}
 			f[in.a] = f[in.b] / d
 		case opBinF:
-			v, ft := irBinF[in.d].fn(f[in.b], f[in.c])
-			if ft != faultNone {
+			v, ft := binF[in.d].fn(f[in.b], f[in.c])
+			if ft != interp.FaultNone {
 				fault = ft
 				break run
 			}
@@ -546,7 +469,7 @@ run:
 			s := fr.iv[in.b]
 			i, ok := elem(r[in.c]+r[in.d], len(s))
 			if !ok {
-				fault = faultLoad
+				fault = interp.FaultLoad
 				break run
 			}
 			r[in.a] = s[i]
@@ -554,7 +477,7 @@ run:
 			s := fr.fv[in.b]
 			i, ok := elem(r[in.c]+r[in.d], len(s))
 			if !ok {
-				fault = faultLoad
+				fault = interp.FaultLoad
 				break run
 			}
 			f[in.a] = s[i]
@@ -562,7 +485,7 @@ run:
 			s := fr.iv[in.a]
 			i, ok := elem(r[in.b]+r[in.c], len(s))
 			if !ok {
-				fault = faultStore
+				fault = interp.FaultStore
 				break run
 			}
 			s[i] = r[in.d]
@@ -570,12 +493,12 @@ run:
 			s := fr.fv[in.a]
 			i, ok := elem(r[in.b]+r[in.c], len(s))
 			if !ok {
-				fault = faultStore
+				fault = interp.FaultStore
 				break run
 			}
 			s[i] = f[in.d]
 		}
 	}
-	fr.fault = fault.err(p.pos[pc-1])
+	fr.fault = fault.Err(p.pos[pc-1])
 	return flowNext
 }

@@ -305,8 +305,6 @@ var (
 	irLoad  = [2]irOp{opLoadI, opLoadF}
 	irStore = [2]irOp{opStoreI, opStoreF}
 	irBinOp = [2]irOp{opBinI, opBinF}
-	// irMath2 names the irBinF entry behind a two-argument math call.
-	irMath2 = map[string]string{"pow": "**", "atan2": "atan2", "fmod": "fmod"}
 )
 
 // irCmp gives the jump taken when a comparison holds and when it does
@@ -383,7 +381,7 @@ func (b *irBuilder) num(e minipy.Expr, float bool) int32 {
 	// intrinsics, bit operations) is boxed and coerced by the closure
 	// chain: compute it as an int and convert.
 	bits, _ := e.(*minipy.BinOp)
-	if float && (b.typeOf(e) == tInt || bits != nil && binIndex(irBinI, bits.Op) >= 0 && !isArith(bits.Op)) {
+	if float && (b.typeOf(e) == tInt || bits != nil && binIndex(binI, bits.Op) >= 0 && !isArith(bits.Op)) {
 		return b.def(opItoF, true, b.num(e, false), 0, 0, pos)
 	}
 	return b.bail()
@@ -415,9 +413,9 @@ func (b *irBuilder) binOp(t *minipy.BinOp, float bool) (int32, bool) {
 		l := b.num(t.L, float)
 		return b.def(ops[k], float, l, b.num(t.R, float), 0, pos), true
 	}
-	fn := binIndex(irBinI, t.Op)
+	fn := binIndex(binI, t.Op)
 	if float {
-		fn = binIndex(irBinF, t.Op)
+		fn = binIndex(binF, t.Op)
 	}
 	if fn < 0 {
 		return 0, false
@@ -449,7 +447,7 @@ func (b *irBuilder) intrinsic(t *minipy.Call, float bool) (int32, bool) {
 	if attr, ok := t.Fn.(*minipy.Attribute); ok {
 		base, ok := attr.X.(*minipy.Name)
 		f1, is1 := nativeMath1[attr.Name]
-		fn2 := binIndex(irBinF, irMath2[attr.Name])
+		fn2 := binIndex(binF, nativeMath2[attr.Name])
 		var r int32
 		switch {
 		case !ok || !float:
@@ -492,9 +490,9 @@ func (b *irBuilder) intrinsic(t *minipy.Call, float bool) (int32, bool) {
 	case (fn.ID == "min" || fn.ID == "max") && len(t.Args) >= 2 && fits:
 		// Folding left to right reproduces the builtin's choice among
 		// equal values.
-		tab := binIndex(irBinI, fn.ID)
+		tab := binIndex(binI, fn.ID)
 		if float {
-			tab = binIndex(irBinF, fn.ID)
+			tab = binIndex(binF, fn.ID)
 		}
 		r = b.num(arg, float)
 		for _, a := range t.Args[1:] {

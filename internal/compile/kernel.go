@@ -216,7 +216,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 	// The remainder of the block may reference the bounds variable
 	// only as the for_end argument. A for_last reference (lastprivate)
 	// needs per-chunk IsLast bookkeeping the kernel does not maintain.
-	foundEnd := false
+	foundEnd, rest := false, map[string]bool{}
 	for _, s := range body[k+3:] {
 		if es, ok := s.(*minipy.ExprStmt); ok {
 			if endCall, ok := ompCallTo(sc, es.X, "for_end"); ok && len(endCall.Args) == 1 {
@@ -226,11 +226,9 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 				}
 			}
 		}
-		if collectNamesStmt(s)[bName.ID] {
-			return nil, 0, nil
-		}
+		minipy.Names(s, rest)
 	}
-	if !foundEnd {
+	if !foundEnd || rest[bName.ID] {
 		return nil, 0, nil
 	}
 
@@ -269,8 +267,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 			return flowNext, err
 		}
 		if step == 0 {
-			return flowNext, interp.NewPyError("ValueError",
-				"range() arg 3 must not be zero", pos)
+			return flowNext, interp.FaultStep.Err(pos)
 		}
 		b := rt.ForBounds(rt.Triplet{Start: start, End: stop, Step: step})
 		// The bounds value feeds the (still bridge-compiled) for_end.

@@ -270,35 +270,10 @@ func coerce(vt valType, v interp.Value) (interp.Value, bool) {
 func (sc *scopeCtx) store(name string) func(fr *Frame, v interp.Value) error {
 	ref := sc.resolveStore(name)
 	if isNumeric(ref.typ) {
-		refused := func() error {
-			return interp.NewPyError("TypeError", "variable '"+name+"' is typed "+ref.typ.String(), minipy.Position{})
-		}
-		switch ref.kind {
-		case refFSlot:
-			return func(fr *Frame, v interp.Value) error {
-				f, ok := interp.AsFloat(v)
-				if !ok {
-					return refused()
-				}
-				fr.f[ref.idx] = f
-				return nil
-			}
-		case refISlot:
-			return func(fr *Frame, v interp.Value) error {
-				n, ok := interp.AsInt(v)
-				if !ok {
-					return refused()
-				}
-				fr.i[ref.idx] = n
-				return nil
-			}
-		}
 		return func(fr *Frame, v interp.Value) error {
-			v, ok := coerce(ref.typ, v)
-			if !ok {
-				return refused()
+			if !fr.storeBinding(ref, v) {
+				return interp.NewPyError("TypeError", "variable '"+name+"' is typed "+ref.typ.String(), minipy.Position{})
 			}
-			ref.cellIn(fr).SetValue(v)
 			return nil
 		}
 	}
@@ -394,350 +369,25 @@ var unboundMarker interp.Value = unboundType{}
 
 // nestedReferences over-approximates the set of names referenced by
 // nested functions/lambdas anywhere in body (such locals must live in
-// cells so closures share them).
+// cells so closures share them): every name mentioned inside one, at
+// any depth.
 func nestedReferences(body []minipy.Stmt) map[string]bool {
 	out := make(map[string]bool)
-	var walkS func(s minipy.Stmt, inNested bool)
-	var walkE func(e minipy.Expr, inNested bool)
-	collectInto := func(names map[string]bool) {
-		for n := range names {
-			out[n] = true
-		}
-	}
-	walkE = func(e minipy.Expr, inNested bool) {
-		switch t := e.(type) {
-		case *minipy.Lambda:
-			collectInto(collectNamesExpr(t.Body))
-		case *minipy.BinOp:
-			walkE(t.L, inNested)
-			walkE(t.R, inNested)
-		case *minipy.BoolOp:
-			for _, v := range t.Values {
-				walkE(v, inNested)
-			}
-		case *minipy.UnaryOp:
-			walkE(t.X, inNested)
-		case *minipy.Compare:
-			walkE(t.L, inNested)
-			for _, r := range t.Rights {
-				walkE(r, inNested)
-			}
-		case *minipy.Call:
-			walkE(t.Fn, inNested)
-			for _, a := range t.Args {
-				walkE(a, inNested)
-			}
-			for i := range t.Keywords {
-				walkE(t.Keywords[i].Value, inNested)
-			}
-		case *minipy.Attribute:
-			walkE(t.X, inNested)
-		case *minipy.Index:
-			walkE(t.X, inNested)
-			walkE(t.I, inNested)
-		case *minipy.SliceExpr:
-			walkE(t.X, inNested)
-			if t.Lo != nil {
-				walkE(t.Lo, inNested)
-			}
-			if t.Hi != nil {
-				walkE(t.Hi, inNested)
-			}
-			if t.Step != nil {
-				walkE(t.Step, inNested)
-			}
-		case *minipy.ListLit:
-			for _, el := range t.Elts {
-				walkE(el, inNested)
-			}
-		case *minipy.TupleLit:
-			for _, el := range t.Elts {
-				walkE(el, inNested)
-			}
-		case *minipy.DictLit:
-			for i := range t.Keys {
-				walkE(t.Keys[i], inNested)
-				walkE(t.Vals[i], inNested)
-			}
-		case *minipy.SetLit:
-			for _, el := range t.Elts {
-				walkE(el, inNested)
-			}
-		case *minipy.IfExp:
-			walkE(t.Cond, inNested)
-			walkE(t.Then, inNested)
-			walkE(t.Else, inNested)
-		}
-	}
-	walkS = func(s minipy.Stmt, inNested bool) {
-		switch t := s.(type) {
-		case *minipy.FuncDef:
-			// Everything referenced inside a nested function (at any
-			// depth) is a potential capture. Defaults evaluate in the
-			// outer scope.
-			for _, p := range t.Params {
-				if p.Default != nil {
-					walkE(p.Default, inNested)
-				}
-			}
-			names := make(map[string]bool)
-			for _, b := range t.Body {
-				for n := range collectNamesStmt(b) {
-					names[n] = true
-				}
-			}
-			collectInto(names)
-		case *minipy.ExprStmt:
-			walkE(t.X, inNested)
-		case *minipy.Assign:
-			for _, tgt := range t.Targets {
-				walkE(tgt, inNested)
-			}
-			walkE(t.Value, inNested)
-		case *minipy.AugAssign:
-			walkE(t.Target, inNested)
-			walkE(t.Value, inNested)
-		case *minipy.AnnAssign:
-			walkE(t.Target, inNested)
-			if t.Value != nil {
-				walkE(t.Value, inNested)
-			}
-		case *minipy.Return:
-			if t.Value != nil {
-				walkE(t.Value, inNested)
-			}
-		case *minipy.If:
-			walkE(t.Cond, inNested)
-			for _, b := range t.Body {
-				walkS(b, inNested)
-			}
-			for _, b := range t.Else {
-				walkS(b, inNested)
-			}
-		case *minipy.While:
-			walkE(t.Cond, inNested)
-			for _, b := range t.Body {
-				walkS(b, inNested)
-			}
-		case *minipy.For:
-			walkE(t.Target, inNested)
-			walkE(t.Iter, inNested)
-			for _, b := range t.Body {
-				walkS(b, inNested)
-			}
-		case *minipy.With:
-			for _, it := range t.Items {
-				walkE(it.Context, inNested)
-				if it.Vars != nil {
-					walkE(it.Vars, inNested)
-				}
-			}
-			for _, b := range t.Body {
-				walkS(b, inNested)
-			}
-		case *minipy.Try:
-			for _, b := range t.Body {
-				walkS(b, inNested)
-			}
-			for _, h := range t.Handlers {
-				for _, b := range h.Body {
-					walkS(b, inNested)
-				}
-			}
-			for _, b := range t.Final {
-				walkS(b, inNested)
-			}
-		case *minipy.Raise:
-			if t.Exc != nil {
-				walkE(t.Exc, inNested)
-			}
-		case *minipy.Assert:
-			walkE(t.Test, inNested)
-			if t.Msg != nil {
-				walkE(t.Msg, inNested)
-			}
-		case *minipy.Del:
-			for _, tgt := range t.Targets {
-				walkE(tgt, inNested)
-			}
-		}
-	}
 	for _, s := range body {
-		walkS(s, false)
-	}
-	return out
-}
-
-// collectNamesStmt gathers every identifier mentioned in a statement,
-// including inside nested functions.
-func collectNamesStmt(s minipy.Stmt) map[string]bool {
-	out := make(map[string]bool)
-	var walkS func(minipy.Stmt)
-	var walkE func(minipy.Expr)
-	walkE = func(e minipy.Expr) {
-		if e == nil {
-			return
-		}
-		for n := range collectNamesExpr(e) {
-			out[n] = true
-		}
-	}
-	walkS = func(s minipy.Stmt) {
-		switch t := s.(type) {
-		case *minipy.ExprStmt:
-			walkE(t.X)
-		case *minipy.Assign:
-			for _, tgt := range t.Targets {
-				walkE(tgt)
-			}
-			walkE(t.Value)
-		case *minipy.AugAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.AnnAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.Return:
-			walkE(t.Value)
-		case *minipy.If:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, b := range t.Else {
-				walkS(b)
-			}
-		case *minipy.While:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.For:
-			walkE(t.Target)
-			walkE(t.Iter)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.With:
-			for _, it := range t.Items {
-				walkE(it.Context)
-				walkE(it.Vars)
-			}
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.Try:
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, h := range t.Handlers {
-				walkE(h.Type)
-				for _, b := range h.Body {
-					walkS(b)
+		minipy.Inspect(s, func(n minipy.Node) bool {
+			switch t := n.(type) {
+			case *minipy.FuncDef:
+				for _, b := range t.Body {
+					minipy.Names(b, out)
 				}
+			case *minipy.Lambda:
+				minipy.Names(t.Body, out)
 			}
-			for _, b := range t.Final {
-				walkS(b)
-			}
-		case *minipy.Raise:
-			walkE(t.Exc)
-		case *minipy.Assert:
-			walkE(t.Test)
-			walkE(t.Msg)
-		case *minipy.Del:
-			for _, tgt := range t.Targets {
-				walkE(tgt)
-			}
-		case *minipy.FuncDef:
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.Global:
-			for _, n := range t.Names {
-				out[n] = true
-			}
-		case *minipy.Nonlocal:
-			for _, n := range t.Names {
-				out[n] = true
-			}
-		}
+			// Decorators and defaults evaluate in the enclosing scope and
+			// count only for what is nested inside them; the traversal
+			// goes on into them, and again into the body just collected.
+			return true
+		})
 	}
-	walkS(s)
-	return out
-}
-
-func collectNamesExpr(e minipy.Expr) map[string]bool {
-	out := make(map[string]bool)
-	var walk func(minipy.Expr)
-	walk = func(e minipy.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *minipy.Name:
-			out[t.ID] = true
-		case *minipy.BinOp:
-			walk(t.L)
-			walk(t.R)
-		case *minipy.BoolOp:
-			for _, v := range t.Values {
-				walk(v)
-			}
-		case *minipy.UnaryOp:
-			walk(t.X)
-		case *minipy.Compare:
-			walk(t.L)
-			for _, r := range t.Rights {
-				walk(r)
-			}
-		case *minipy.Call:
-			walk(t.Fn)
-			for _, a := range t.Args {
-				walk(a)
-			}
-			for i := range t.Keywords {
-				walk(t.Keywords[i].Value)
-			}
-		case *minipy.Attribute:
-			walk(t.X)
-		case *minipy.Index:
-			walk(t.X)
-			walk(t.I)
-		case *minipy.SliceExpr:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-			walk(t.Step)
-		case *minipy.ListLit:
-			for _, el := range t.Elts {
-				walk(el)
-			}
-		case *minipy.TupleLit:
-			for _, el := range t.Elts {
-				walk(el)
-			}
-		case *minipy.DictLit:
-			for i := range t.Keys {
-				walk(t.Keys[i])
-				walk(t.Vals[i])
-			}
-		case *minipy.SetLit:
-			for _, el := range t.Elts {
-				walk(el)
-			}
-		case *minipy.IfExp:
-			walk(t.Cond)
-			walk(t.Then)
-			walk(t.Else)
-		case *minipy.Lambda:
-			walk(t.Body)
-			for _, p := range t.Params {
-				if p.Default != nil {
-					walk(p.Default)
-				}
-			}
-		}
-	}
-	walk(e)
 	return out
 }

@@ -27,10 +27,9 @@ func (c *compiler) compileFunc(fd *minipy.FuncDef, parent *scopeCtx) (*funcCode,
 	code.nF = len(sc.fOf) + int(sc.xF)
 	code.nI = len(sc.iOf) + int(sc.xI)
 	code.captures = sc.captures
-	code.paramBind = make([]binding, len(params))
+	code.paramBind = make([]varRef, len(params))
 	for i, p := range params {
-		ref := sc.resolve(p.Name)
-		code.paramBind[i] = binding{kind: ref.kind, idx: ref.idx, typ: ref.typ}
+		code.paramBind[i] = sc.resolve(p.Name)
 	}
 	return code, nil
 }
@@ -777,7 +776,7 @@ func (c *compiler) compileFor(sc *scopeCtx, t *minipy.For) (stmtFn, error) {
 					return flowNext, err
 				}
 				if step == 0 {
-					return flowNext, interp.NewPyError("ValueError", "range() arg 3 must not be zero", pos)
+					return flowNext, interp.FaultStep.Err(pos)
 				}
 				bodyf, err := form.enter(fr)
 				if err != nil {

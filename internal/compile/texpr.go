@@ -10,7 +10,10 @@ import (
 // This file is the CompiledDT back end: expressions whose inferred
 // type is int or float compile to unboxed closure chains, the
 // counterpart of the machine code Cython emits once variables carry
-// int/float annotations (§III-F, §IV).
+// int/float annotations (§III-F, §IV). There is one compiler for the
+// two unboxed paths, compileNum, instantiated per kind; what differs
+// between an int and a float context is written down once, in the
+// kind's descriptor.
 
 var nativeMath1 = map[string]func(float64) float64{
 	"sqrt": math.Sqrt, "sin": math.Sin, "cos": math.Cos, "tan": math.Tan,
@@ -18,9 +21,9 @@ var nativeMath1 = map[string]func(float64) float64{
 	"fabs": math.Abs, "atan": math.Atan, "asin": math.Asin, "acos": math.Acos,
 }
 
-var nativeMath2 = map[string]func(float64, float64) float64{
-	"pow": math.Pow, "atan2": math.Atan2, "fmod": math.Mod,
-}
+// nativeMath2 names the binF entry behind a two-argument math
+// function.
+var nativeMath2 = map[string]string{"pow": "**", "atan2": "atan2", "fmod": "fmod"}
 
 // isArith reports whether op is numeric-only in a float context.
 func isArith(op string) bool {
@@ -31,237 +34,268 @@ func isArith(op string) bool {
 	return false
 }
 
-// compileFloat compiles e into an unboxed float computation; any
-// subexpression it cannot specialize falls back to the boxed path
-// with a coercion at the boundary.
+// numKind describes one of the two unboxed paths to compileNum.
+type numKind[T int64 | float64] struct {
+	// want is what a boxed value that does not unbox is told it should
+	// have been.
+	want  string
+	unbox func(v interp.Value) (T, bool)
+	// load reads a name's unboxed slot; nil when the path cannot (the
+	// float path converts an int slot, the int path reads only its own).
+	load func(ref varRef) numFn[T]
+	// store is "slot idx = vf()" as a statement.
+	store func(idx int, vf numFn[T]) stmtFn
+	// index is the subscript xf()[idxf()]: an element of a list
+	// specialized to the kind is read unboxed (FloatAt / IntAt, called
+	// directly so that they inline), anything else through the object
+	// protocol and a coercion (getItem).
+	index func(xf exprFn, idxf intFn, pos minipy.Position) numFn[T]
+	// bin are the path's binary operators beyond + - *, which are inline
+	// (as is the float path's "/", though bin has it too, for the IR).
+	// A float context compiles both operands of an operator as floats
+	// whatever their inferred types: operands the specializer cannot
+	// prove numeric fall back to boxed evaluation plus a coercion inside
+	// their own compileNum. This is the annotation-trusting semantics of
+	// Cython's cdef — a list element flowing into float arithmetic had
+	// better be a number — and what lets a[i]*x[j] reach the unboxed
+	// FloatAt fast path. The int path (isInt) is exact: both operands
+	// must be inferred int, "/" and "**" are not in its table because
+	// their results are not ints, and a float literal is not its own.
+	bin   []numBin[T]
+	isInt bool
+	// inv is unary "~", for the path that has it.
+	inv func(x T) T
+	// call compiles the path's intrinsic calls (math.* on floats, len on
+	// ints); a nil result means t is not one.
+	call func(c *compiler, sc *scopeCtx, t *minipy.Call) (numFn[T], error)
+}
+
+var (
+	floatKind = new(numKind[float64])
+	intKind   = new(numKind[int64])
+)
+
+// The descriptors are filled in here and not in their declarations
+// because their intrinsics compile subexpressions, which refers back to
+// the descriptors.
+func init() {
+	*floatKind = numKind[float64]{
+		want:  "a number",
+		unbox: interp.AsFloat,
+		load: func(ref varRef) floatFn {
+			idx := ref.idx
+			switch ref.kind {
+			case refFSlot:
+				return func(fr *Frame) (float64, error) { return fr.f[idx], nil }
+			case refISlot:
+				return func(fr *Frame) (float64, error) { return float64(fr.i[idx]), nil }
+			}
+			return nil
+		},
+		store: func(idx int, vf floatFn) stmtFn {
+			return func(fr *Frame) (flow, error) {
+				v, err := vf(fr)
+				if err != nil {
+					return flowNext, err
+				}
+				fr.f[idx] = v
+				return flowNext, nil
+			}
+		},
+		index: func(xf exprFn, idxf intFn, pos minipy.Position) floatFn {
+			return func(fr *Frame) (float64, error) {
+				xv, err := xf(fr)
+				if err != nil {
+					return 0, err
+				}
+				iv, err := idxf(fr)
+				if err != nil {
+					return 0, err
+				}
+				if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
+					if f, ok := l.FloatAt(int(iv)); ok {
+						return f, nil
+					}
+				}
+				return floatKind.getItem(fr, xv, iv, pos)
+			}
+		},
+		bin:  binF,
+		call: mathCall,
+	}
+	*intKind = numKind[int64]{
+		want:  "an int",
+		unbox: interp.AsInt,
+		load: func(ref varRef) intFn {
+			if ref.kind != refISlot {
+				return nil
+			}
+			idx := ref.idx
+			return func(fr *Frame) (int64, error) { return fr.i[idx], nil }
+		},
+		store: func(idx int, vf intFn) stmtFn {
+			return func(fr *Frame) (flow, error) {
+				v, err := vf(fr)
+				if err != nil {
+					return flowNext, err
+				}
+				fr.i[idx] = v
+				return flowNext, nil
+			}
+		},
+		index: func(xf exprFn, idxf intFn, pos minipy.Position) intFn {
+			return func(fr *Frame) (int64, error) {
+				xv, err := xf(fr)
+				if err != nil {
+					return 0, err
+				}
+				iv, err := idxf(fr)
+				if err != nil {
+					return 0, err
+				}
+				if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
+					if n, ok := l.IntAt(int(iv)); ok {
+						return n, nil
+					}
+				}
+				return intKind.getItem(fr, xv, iv, pos)
+			}
+		},
+		bin:   binI,
+		isInt: true,
+		inv:   func(x int64) int64 { return ^x },
+		call:  lenCall,
+	}
+}
+
 func (c *compiler) compileFloat(sc *scopeCtx, e minipy.Expr) (floatFn, error) {
+	return compileNum(c, sc, floatKind, e)
+}
+
+func (c *compiler) compileInt(sc *scopeCtx, e minipy.Expr) (intFn, error) {
+	return compileNum(c, sc, intKind, e)
+}
+
+// compileNum compiles e into an unboxed computation of kind d; any
+// subexpression it cannot specialize falls back to the boxed path with
+// a coercion at the boundary.
+func compileNum[T int64 | float64](c *compiler, sc *scopeCtx, d *numKind[T], e minipy.Expr) (numFn[T], error) {
 	switch t := e.(type) {
-	case *minipy.FloatLit:
-		v := t.V
-		return func(fr *Frame) (float64, error) { return v, nil }, nil
 	case *minipy.IntLit:
-		v := float64(t.V)
-		return func(fr *Frame) (float64, error) { return v, nil }, nil
+		v := T(t.V)
+		return func(fr *Frame) (T, error) { return v, nil }, nil
+	case *minipy.FloatLit:
+		if !d.isInt {
+			v := T(t.V)
+			return func(fr *Frame) (T, error) { return v, nil }, nil
+		}
 	case *minipy.Name:
-		ref := sc.resolve(t.ID)
-		switch ref.kind {
-		case refFSlot:
-			idx := ref.idx
-			return func(fr *Frame) (float64, error) { return fr.f[idx], nil }, nil
-		case refISlot:
-			idx := ref.idx
-			return func(fr *Frame) (float64, error) { return float64(fr.i[idx]), nil }, nil
+		if f := d.load(sc.resolve(t.ID)); f != nil {
+			return f, nil
 		}
 	case *minipy.UnaryOp:
-		if t.Op == "-" || t.Op == "+" {
-			xf, err := c.compileFloat(sc, t.X)
-			if err != nil {
-				return nil, err
-			}
-			if t.Op == "+" {
-				return xf, nil
-			}
-			return func(fr *Frame) (float64, error) {
+		if t.Op != "-" && t.Op != "+" && (t.Op != "~" || d.inv == nil) {
+			break
+		}
+		xf, err := compileNum(c, sc, d, t.X)
+		if err != nil || t.Op == "+" {
+			return xf, err
+		}
+		if t.Op == "~" {
+			inv := d.inv
+			return func(fr *Frame) (T, error) {
 				x, err := xf(fr)
-				return -x, err
+				return inv(x), err
 			}, nil
 		}
+		return func(fr *Frame) (T, error) {
+			x, err := xf(fr)
+			return -x, err
+		}, nil
 	case *minipy.BinOp:
-		// The context demands a float, so both operands compile on
-		// the float path regardless of their inferred types: operands
-		// the specializer cannot prove numeric fall back to boxed
-		// evaluation plus a coercion inside their own compileFloat.
-		// This is the annotation-trusting semantics of Cython's cdef:
-		// a list element flowing into float arithmetic had better be
-		// a number. It is what lets a[i]*x[j] reach the unboxed
-		// FloatAt fast path.
-		if isArith(t.Op) {
-			lf, err := c.compileFloat(sc, t.L)
-			if err != nil {
-				return nil, err
-			}
-			rf, err := c.compileFloat(sc, t.R)
-			if err != nil {
-				return nil, err
-			}
-			pos := t.NodePos()
-			switch t.Op {
-			case "+":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l + r, err
-				}, nil
-			case "-":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l - r, err
-				}, nil
-			case "*":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l * r, err
-				}, nil
-			case "/":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r == 0 {
-						return 0, interp.NewPyError("ZeroDivisionError", "float division by zero", pos)
-					}
-					return l / r, nil
-				}, nil
-			case "//":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r == 0 {
-						return 0, interp.NewPyError("ZeroDivisionError", "float floor division by zero", pos)
-					}
-					return math.Floor(l / r), nil
-				}, nil
-			case "%":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r == 0 {
-						return 0, interp.NewPyError("ZeroDivisionError", "float modulo", pos)
-					}
-					m := math.Mod(l, r)
-					if m != 0 && ((m < 0) != (r < 0)) {
-						m += r
-					}
-					return m, nil
-				}, nil
-			case "**":
-				return func(fr *Frame) (float64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					return math.Pow(l, r), nil
-				}, nil
-			}
+		k := binIndex(d.bin, t.Op)
+		inline := t.Op == "+" || t.Op == "-" || t.Op == "*" || t.Op == "/" && k >= 0
+		if k < 0 && !inline || d.isInt && (exprType(t.L, sc.types) != tInt || exprType(t.R, sc.types) != tInt) {
+			break
 		}
+		lf, err := compileNum(c, sc, d, t.L)
+		if err != nil {
+			return nil, err
+		}
+		rf, err := compileNum(c, sc, d, t.R)
+		if err != nil {
+			return nil, err
+		}
+		pos := t.NodePos()
+		// int64 and float64 are distinct GC shapes, so these instantiate
+		// to native arithmetic. Like the IR (opDivF), the closures give
+		// true division, the one fallible operator numeric loops are full
+		// of, its zero check inline; it exists on the float path only.
+		switch t.Op {
+		case "+":
+			return func(fr *Frame) (T, error) {
+				l, err := lf(fr)
+				if err != nil {
+					return 0, err
+				}
+				r, err := rf(fr)
+				return l + r, err
+			}, nil
+		case "-":
+			return func(fr *Frame) (T, error) {
+				l, err := lf(fr)
+				if err != nil {
+					return 0, err
+				}
+				r, err := rf(fr)
+				return l - r, err
+			}, nil
+		case "*":
+			return func(fr *Frame) (T, error) {
+				l, err := lf(fr)
+				if err != nil {
+					return 0, err
+				}
+				r, err := rf(fr)
+				return l * r, err
+			}, nil
+		case "/":
+			return func(fr *Frame) (T, error) {
+				l, err := lf(fr)
+				if err != nil {
+					return 0, err
+				}
+				r, err := rf(fr)
+				if err != nil {
+					return 0, err
+				}
+				if r == 0 {
+					return 0, interp.FaultDivF.Err(pos)
+				}
+				return l / r, nil
+			}, nil
+		}
+		fn := d.bin[k].fn
+		return func(fr *Frame) (T, error) {
+			l, err := lf(fr)
+			if err != nil {
+				return 0, err
+			}
+			r, err := rf(fr)
+			if err != nil {
+				return 0, err
+			}
+			v, ft := fn(l, r)
+			if ft != interp.FaultNone {
+				return 0, ft.Err(pos)
+			}
+			return v, nil
+		}, nil
 	case *minipy.Call:
-		// math.<fn>(x) with a guard that the callee really is the
-		// math module (compiled code binds it early, like Cython).
-		if attr, ok := t.Fn.(*minipy.Attribute); ok {
-			if base, ok := attr.X.(*minipy.Name); ok {
-				if f1, ok := nativeMath1[attr.Name]; ok && len(t.Args) == 1 {
-					loadMod := sc.load(base.ID, t.NodePos())
-					xf, err := c.compileFloat(sc, t.Args[0])
-					if err != nil {
-						return nil, err
-					}
-					fname := attr.Name
-					pos := t.NodePos()
-					return func(fr *Frame) (float64, error) {
-						mv, err := loadMod(fr)
-						if err != nil {
-							return 0, err
-						}
-						if m, ok := mv.(*interp.Module); ok && m.Name == "math" {
-							x, err := xf(fr)
-							if err != nil {
-								return 0, err
-							}
-							r := f1(x)
-							if math.IsNaN(r) && !math.IsNaN(x) {
-								return 0, interp.NewPyError("ValueError", "math domain error", pos)
-							}
-							return r, nil
-						}
-						return c.genericFloatCall(fr, mv, fname, xf, pos)
-					}, nil
-				}
-				if f2, ok := nativeMath2[attr.Name]; ok && len(t.Args) == 2 {
-					loadMod := sc.load(base.ID, t.NodePos())
-					af, err := c.compileFloat(sc, t.Args[0])
-					if err != nil {
-						return nil, err
-					}
-					bf, err := c.compileFloat(sc, t.Args[1])
-					if err != nil {
-						return nil, err
-					}
-					pos := t.NodePos()
-					fname := attr.Name
-					return func(fr *Frame) (float64, error) {
-						mv, err := loadMod(fr)
-						if err != nil {
-							return 0, err
-						}
-						if m, ok := mv.(*interp.Module); ok && m.Name == "math" {
-							a, err := af(fr)
-							if err != nil {
-								return 0, err
-							}
-							b, err := bf(fr)
-							if err != nil {
-								return 0, err
-							}
-							return f2(a, b), nil
-						}
-						// Fall back via the boxed protocol.
-						fn, err := fr.th.GetAttr(mv, fname, pos)
-						if err != nil {
-							return 0, err
-						}
-						a, err := af(fr)
-						if err != nil {
-							return 0, err
-						}
-						b, err := bf(fr)
-						if err != nil {
-							return 0, err
-						}
-						v, err := fr.th.Call(fn, []interp.Value{a, b}, pos)
-						if err != nil {
-							return 0, err
-						}
-						return coerceFloat(v, pos)
-					}, nil
-				}
-			}
+		if f, err := d.call(c, sc, t); f != nil || err != nil {
+			return f, err
 		}
-		// float(x), abs/min/max handled by inference falling through
-		// to the generic path below.
 	case *minipy.Index:
-		// Unboxed read from a float-specialized list.
 		xf, err := c.compileExprBoxed(sc, t.X)
 		if err != nil {
 			return nil, err
@@ -271,41 +305,21 @@ func (c *compiler) compileFloat(sc *scopeCtx, e minipy.Expr) (floatFn, error) {
 			// Non-integer index: generic fallback.
 			break
 		}
-		pos := t.NodePos()
-		return func(fr *Frame) (float64, error) {
-			xv, err := xf(fr)
-			if err != nil {
-				return 0, err
-			}
-			iv, err := idxf(fr)
-			if err != nil {
-				return 0, err
-			}
-			if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-				if f, ok := l.FloatAt(int(iv)); ok {
-					return f, nil
-				}
-			}
-			v, err := fr.th.GetItem(xv, iv, pos)
-			if err != nil {
-				return 0, err
-			}
-			return coerceFloat(v, pos)
-		}, nil
+		return d.index(xf, idxf, t.NodePos()), nil
 	case *minipy.IfExp:
 		condf, err := c.compileCond(sc, t.Cond)
 		if err != nil {
 			return nil, err
 		}
-		thenf, err := c.compileFloat(sc, t.Then)
+		thenf, err := compileNum(c, sc, d, t.Then)
 		if err != nil {
 			return nil, err
 		}
-		elsef, err := c.compileFloat(sc, t.Else)
+		elsef, err := compileNum(c, sc, d, t.Else)
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *Frame) (float64, error) {
+		return func(fr *Frame) (T, error) {
 			ok, err := condf(fr)
 			if err != nil {
 				return 0, err
@@ -322,406 +336,204 @@ func (c *compiler) compileFloat(sc *scopeCtx, e minipy.Expr) (floatFn, error) {
 		return nil, err
 	}
 	pos := e.NodePos()
-	return func(fr *Frame) (float64, error) {
+	return func(fr *Frame) (T, error) {
 		v, err := ef(fr)
 		if err != nil {
 			return 0, err
 		}
-		return coerceFloat(v, pos)
+		if x, ok := v.(T); ok {
+			return x, nil // a typed cell, mostly: no call at all
+		}
+		return d.coerce(v, pos)
 	}, nil
 }
 
-func (c *compiler) genericFloatCall(fr *Frame, mod interp.Value, fname string, xf floatFn, pos minipy.Position) (float64, error) {
+// getItem is the subscript through the object protocol.
+func (d *numKind[T]) getItem(fr *Frame, xv interp.Value, iv int64, pos minipy.Position) (T, error) {
+	v, err := fr.th.GetItem(xv, iv, pos)
+	if err != nil {
+		return 0, err
+	}
+	return d.coerce(v, pos)
+}
+
+// coerce unboxes a value the boxed path produced for this one.
+func (d *numKind[T]) coerce(v interp.Value, pos minipy.Position) (T, error) {
+	if x, ok := d.unbox(v); ok {
+		return x, nil
+	}
+	return 0, interp.NewPyError("TypeError", "expected "+d.want+", got "+interp.TypeName(v), pos)
+}
+
+// mathCall compiles math.<fn>(x[, y]) with a guard that the callee
+// really is the math module (compiled code binds it early, like
+// Cython); under any other binding of the name the call goes through
+// the boxed protocol.
+func mathCall(c *compiler, sc *scopeCtx, t *minipy.Call) (floatFn, error) {
+	attr, _ := t.Fn.(*minipy.Attribute)
+	if attr == nil {
+		return nil, nil
+	}
+	base, _ := attr.X.(*minipy.Name)
+	f1 := nativeMath1[attr.Name]
+	f2 := binIndex(binF, nativeMath2[attr.Name])
+	if base == nil || !(f1 != nil && len(t.Args) == 1 || f2 >= 0 && len(t.Args) == 2) {
+		return nil, nil
+	}
+	loadMod := sc.load(base.ID, t.NodePos())
+	args := make([]floatFn, len(t.Args))
+	for i, a := range t.Args {
+		af, err := c.compileFloat(sc, a)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = af
+	}
+	fname, pos := attr.Name, t.NodePos()
+	return func(fr *Frame) (float64, error) {
+		mv, err := loadMod(fr)
+		if err != nil {
+			return 0, err
+		}
+		m, ok := mv.(*interp.Module)
+		if !ok || m.Name != "math" {
+			return boxedMathCall(fr, mv, fname, args, pos)
+		}
+		x, err := args[0](fr)
+		if err != nil {
+			return 0, err
+		}
+		if len(args) == 1 {
+			r := f1(x)
+			if math.IsNaN(r) && !math.IsNaN(x) {
+				return 0, interp.FaultDomain.Err(pos)
+			}
+			return r, nil
+		}
+		y, err := args[1](fr)
+		if err != nil {
+			return 0, err
+		}
+		r, _ := binF[f2].fn(x, y)
+		return r, nil
+	}, nil
+}
+
+func boxedMathCall(fr *Frame, mod interp.Value, fname string, args []floatFn, pos minipy.Position) (float64, error) {
 	fn, err := fr.th.GetAttr(mod, fname, pos)
 	if err != nil {
 		return 0, err
 	}
-	x, err := xf(fr)
-	if err != nil {
-		return 0, err
-	}
-	v, err := fr.th.Call(fn, []interp.Value{x}, pos)
-	if err != nil {
-		return 0, err
-	}
-	return coerceFloat(v, pos)
-}
-
-func coerceFloat(v interp.Value, pos minipy.Position) (float64, error) {
-	if f, ok := interp.AsFloat(v); ok {
-		return f, nil
-	}
-	return 0, interp.NewPyError("TypeError",
-		"expected a number, got "+interp.TypeName(v), pos)
-}
-
-func coerceInt(v interp.Value, pos minipy.Position) (int64, error) {
-	if n, ok := interp.AsInt(v); ok {
-		return n, nil
-	}
-	return 0, interp.NewPyError("TypeError",
-		"expected an int, got "+interp.TypeName(v), pos)
-}
-
-// compileInt compiles e into an unboxed int computation.
-func (c *compiler) compileInt(sc *scopeCtx, e minipy.Expr) (intFn, error) {
-	switch t := e.(type) {
-	case *minipy.IntLit:
-		v := t.V
-		return func(fr *Frame) (int64, error) { return v, nil }, nil
-	case *minipy.Name:
-		ref := sc.resolve(t.ID)
-		if ref.kind == refISlot {
-			idx := ref.idx
-			return func(fr *Frame) (int64, error) { return fr.i[idx], nil }, nil
-		}
-	case *minipy.UnaryOp:
-		switch t.Op {
-		case "-", "+", "~":
-			xf, err := c.compileInt(sc, t.X)
-			if err != nil {
-				return nil, err
-			}
-			op := t.Op
-			return func(fr *Frame) (int64, error) {
-				x, err := xf(fr)
-				if err != nil {
-					return 0, err
-				}
-				switch op {
-				case "-":
-					return -x, nil
-				case "~":
-					return ^x, nil
-				}
-				return x, nil
-			}, nil
-		}
-	case *minipy.BinOp:
-		if exprType(t.L, sc.types) == tInt && exprType(t.R, sc.types) == tInt {
-			lf, err := c.compileInt(sc, t.L)
-			if err != nil {
-				return nil, err
-			}
-			rf, err := c.compileInt(sc, t.R)
-			if err != nil {
-				return nil, err
-			}
-			pos := t.NodePos()
-			switch t.Op {
-			case "+":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l + r, err
-				}, nil
-			case "-":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l - r, err
-				}, nil
-			case "*":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l * r, err
-				}, nil
-			case "//":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r == 0 {
-						return 0, interp.NewPyError("ZeroDivisionError",
-							"integer division or modulo by zero", pos)
-					}
-					q := l / r
-					if (l%r != 0) && ((l < 0) != (r < 0)) {
-						q--
-					}
-					return q, nil
-				}, nil
-			case "%":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r == 0 {
-						return 0, interp.NewPyError("ZeroDivisionError",
-							"integer division or modulo by zero", pos)
-					}
-					m := l % r
-					if m != 0 && ((l < 0) != (r < 0)) {
-						m += r
-					}
-					return m, nil
-				}, nil
-			case "&":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l & r, err
-				}, nil
-			case "|":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l | r, err
-				}, nil
-			case "^":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					return l ^ r, err
-				}, nil
-			case "<<":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r < 0 {
-						return 0, interp.NewPyError("ValueError", "negative shift count", pos)
-					}
-					return l << uint(r), nil
-				}, nil
-			case ">>":
-				return func(fr *Frame) (int64, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return 0, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return 0, err
-					}
-					if r < 0 {
-						return 0, interp.NewPyError("ValueError", "negative shift count", pos)
-					}
-					return l >> uint(r), nil
-				}, nil
-			}
-		}
-	case *minipy.Call:
-		if n, ok := t.Fn.(*minipy.Name); ok && n.ID == "len" && len(t.Args) == 1 {
-			// len() of anything is a native int.
-			lenArg, err := c.compileExprBoxed(sc, t.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			pos := t.NodePos()
-			return func(fr *Frame) (int64, error) {
-				v, err := lenArg(fr)
-				if err != nil {
-					return 0, err
-				}
-				switch x := v.(type) {
-				case *interp.List:
-					return int64(x.Len()), nil
-				case string:
-					return int64(len(x)), nil
-				case *interp.Tuple:
-					return int64(len(x.Elts)), nil
-				case *interp.Dict:
-					return int64(x.Len()), nil
-				case *interp.Set:
-					return int64(x.Len()), nil
-				case *interp.Range:
-					return x.Len(), nil
-				}
-				return 0, interp.NewPyError("TypeError",
-					"object of type '"+interp.TypeName(v)+"' has no len()", pos)
-			}, nil
-		}
-	case *minipy.Index:
-		xf, err := c.compileExprBoxed(sc, t.X)
-		if err != nil {
-			return nil, err
-		}
-		idxf, err := c.compileInt(sc, t.I)
-		if err != nil {
-			break
-		}
-		pos := t.NodePos()
-		return func(fr *Frame) (int64, error) {
-			xv, err := xf(fr)
-			if err != nil {
-				return 0, err
-			}
-			iv, err := idxf(fr)
-			if err != nil {
-				return 0, err
-			}
-			if l, ok := xv.(*interp.List); ok && iv >= 0 && iv < int64(l.Len()) {
-				if n, ok := l.IntAt(int(iv)); ok {
-					return n, nil
-				}
-			}
-			v, err := fr.th.GetItem(xv, iv, pos)
-			if err != nil {
-				return 0, err
-			}
-			return coerceInt(v, pos)
-		}, nil
-	case *minipy.IfExp:
-		condf, err := c.compileCond(sc, t.Cond)
-		if err != nil {
-			return nil, err
-		}
-		thenf, err := c.compileInt(sc, t.Then)
-		if err != nil {
-			return nil, err
-		}
-		elsef, err := c.compileInt(sc, t.Else)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *Frame) (int64, error) {
-			ok, err := condf(fr)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				return thenf(fr)
-			}
-			return elsef(fr)
-		}, nil
-	}
-	ef, err := c.compileExprBoxed(sc, e)
-	if err != nil {
-		return nil, err
-	}
-	pos := e.NodePos()
-	return func(fr *Frame) (int64, error) {
-		v, err := ef(fr)
+	vals := make([]interp.Value, len(args))
+	for i, af := range args {
+		x, err := af(fr)
 		if err != nil {
 			return 0, err
 		}
-		return coerceInt(v, pos)
+		vals[i] = x
+	}
+	v, err := fr.th.Call(fn, vals, pos)
+	if err != nil {
+		return 0, err
+	}
+	return floatKind.coerce(v, pos)
+}
+
+// lenCall compiles len(x): len() of anything is a native int.
+func lenCall(c *compiler, sc *scopeCtx, t *minipy.Call) (intFn, error) {
+	if n, ok := t.Fn.(*minipy.Name); !ok || n.ID != "len" || len(t.Args) != 1 {
+		return nil, nil
+	}
+	lenArg, err := c.compileExprBoxed(sc, t.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	pos := t.NodePos()
+	return func(fr *Frame) (int64, error) {
+		v, err := lenArg(fr)
+		if err != nil {
+			return 0, err
+		}
+		switch x := v.(type) {
+		case *interp.List:
+			return int64(x.Len()), nil
+		case string:
+			return int64(len(x)), nil
+		case *interp.Tuple:
+			return int64(len(x.Elts)), nil
+		case *interp.Dict:
+			return int64(x.Len()), nil
+		case *interp.Set:
+			return int64(x.Len()), nil
+		case *interp.Range:
+			return x.Len(), nil
+		}
+		return 0, interp.NewPyError("TypeError",
+			"object of type '"+interp.TypeName(v)+"' has no len()", pos)
+	}, nil
+}
+
+type condFn = func(fr *Frame) (bool, error)
+
+// compileCompare compiles a single ordering comparison on the path d.
+func compileCompare[T int64 | float64](c *compiler, sc *scopeCtx, d *numKind[T], t *minipy.Compare) (condFn, error) {
+	lf, err := compileNum(c, sc, d, t.L)
+	if err != nil {
+		return nil, err
+	}
+	rf, err := compileNum(c, sc, d, t.Rights[0])
+	if err != nil {
+		return nil, err
+	}
+	op := t.Ops[0]
+	return func(fr *Frame) (bool, error) {
+		l, err := lf(fr)
+		if err != nil {
+			return false, err
+		}
+		r, err := rf(fr)
+		if err != nil {
+			return false, err
+		}
+		switch op {
+		case "==":
+			return l == r, nil
+		case "!=":
+			return l != r, nil
+		case "<":
+			return l < r, nil
+		case "<=":
+			return l <= r, nil
+		case ">":
+			return l > r, nil
+		default:
+			return l >= r, nil
+		}
 	}, nil
 }
 
 // compileCond compiles a boolean context. Typed numeric comparisons
 // specialize to native compares.
-func (c *compiler) compileCond(sc *scopeCtx, e minipy.Expr) (func(fr *Frame) (bool, error), error) {
+func (c *compiler) compileCond(sc *scopeCtx, e minipy.Expr) (condFn, error) {
 	if c.opts.Typed {
 		if t, ok := e.(*minipy.Compare); ok && len(t.Ops) == 1 {
 			lt := exprType(t.L, sc.types)
 			rt := exprType(t.Rights[0], sc.types)
-			numeric := func(vt valType) bool { return vt == tInt || vt == tFloat }
-			op := t.Ops[0]
-			isOrderOp := false
-			switch op {
+			switch t.Ops[0] {
 			case "==", "!=", "<", "<=", ">", ">=":
-				isOrderOp = true
-			}
-			// int-int comparisons stay exact on the int path; a float
-			// (or one provably-numeric side, annotation-trusting)
-			// takes the float path.
-			if isOrderOp && lt == tInt && rt == tInt {
-				lf, err := c.compileInt(sc, t.L)
-				if err != nil {
-					return nil, err
+				// int-int comparisons stay exact on the int path; a float
+				// (or one provably-numeric side, annotation-trusting)
+				// takes the float path.
+				if lt == tInt && rt == tInt {
+					return compileCompare(c, sc, intKind, t)
 				}
-				rf, err := c.compileInt(sc, t.Rights[0])
-				if err != nil {
-					return nil, err
+				if isNumeric(lt) || isNumeric(rt) {
+					return compileCompare(c, sc, floatKind, t)
 				}
-				return func(fr *Frame) (bool, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return false, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return false, err
-					}
-					switch op {
-					case "==":
-						return l == r, nil
-					case "!=":
-						return l != r, nil
-					case "<":
-						return l < r, nil
-					case "<=":
-						return l <= r, nil
-					case ">":
-						return l > r, nil
-					default:
-						return l >= r, nil
-					}
-				}, nil
-			}
-			if isOrderOp && (numeric(lt) || numeric(rt)) {
-				lf, err := c.compileFloat(sc, t.L)
-				if err != nil {
-					return nil, err
-				}
-				rf, err := c.compileFloat(sc, t.Rights[0])
-				if err != nil {
-					return nil, err
-				}
-				return func(fr *Frame) (bool, error) {
-					l, err := lf(fr)
-					if err != nil {
-						return false, err
-					}
-					r, err := rf(fr)
-					if err != nil {
-						return false, err
-					}
-					switch op {
-					case "==":
-						return l == r, nil
-					case "!=":
-						return l != r, nil
-					case "<":
-						return l < r, nil
-					case "<=":
-						return l <= r, nil
-					case ">":
-						return l > r, nil
-					default:
-						return l >= r, nil
-					}
-				}, nil
 			}
 		}
 		if t, ok := e.(*minipy.BoolOp); ok {
-			subs := make([]func(fr *Frame) (bool, error), len(t.Values))
+			subs := make([]condFn, len(t.Values))
 			for i, v := range t.Values {
 				sub, err := c.compileCond(sc, v)
 				if err != nil {
@@ -772,43 +584,20 @@ func (c *compiler) compileCond(sc *scopeCtx, e minipy.Expr) (func(fr *Frame) (bo
 // refused like any store into a typed binding, and kept in the
 // binding's slot or, boxed, in the cell of a captured one.
 func (c *compiler) storeTyped(sc *scopeCtx, ref varRef, value minipy.Expr) (stmtFn, error) {
-	idx, slot := ref.idx, ref.kind == refFSlot || ref.kind == refISlot
 	if ref.typ == tFloat {
-		vf, err := c.compileFloat(sc, value)
-		if err != nil {
-			return nil, err
-		}
-		if !slot {
-			return boxedStore(vf, ref), nil
-		}
-		return func(fr *Frame) (flow, error) {
-			v, err := vf(fr)
-			if err != nil {
-				return flowNext, err
-			}
-			fr.f[idx] = v
-			return flowNext, nil
-		}, nil
+		return storeNum(c, sc, floatKind, ref, value)
 	}
-	vf, err := c.compileInt(sc, value)
+	return storeNum(c, sc, intKind, ref, value)
+}
+
+func storeNum[T int64 | float64](c *compiler, sc *scopeCtx, d *numKind[T], ref varRef, value minipy.Expr) (stmtFn, error) {
+	vf, err := compileNum(c, sc, d, value)
 	if err != nil {
 		return nil, err
 	}
-	if !slot {
-		return boxedStore(vf, ref), nil
+	if ref.kind == refFSlot || ref.kind == refISlot {
+		return d.store(ref.idx, vf), nil
 	}
-	return func(fr *Frame) (flow, error) {
-		v, err := vf(fr)
-		if err != nil {
-			return flowNext, err
-		}
-		fr.i[idx] = v
-		return flowNext, nil
-	}, nil
-}
-
-// boxedStore stores the unboxed result of vf into the cell ref names.
-func boxedStore[T int64 | float64](vf func(fr *Frame) (T, error), ref varRef) stmtFn {
 	return func(fr *Frame) (flow, error) {
 		v, err := vf(fr)
 		if err != nil {
@@ -816,7 +605,7 @@ func boxedStore[T int64 | float64](vf func(fr *Frame) (T, error), ref varRef) st
 		}
 		ref.cellIn(fr).SetValue(v)
 		return flowNext, nil
-	}
+	}, nil
 }
 
 // compileTypedAssign handles "x = expr" and "a[i] = expr" when the

@@ -40,7 +40,7 @@ func (in *Interp) installBuiltins() {
 					return nil, typeErrorf(minipy.Position{}, "range() arguments must be ints")
 				}
 				if v2 == 0 {
-					return nil, valueErrorf(minipy.Position{}, "range() arg 3 must not be zero")
+					return nil, FaultStep.Err(minipy.Position{})
 				}
 				step = v2
 			}

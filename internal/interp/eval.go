@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"math"
 	"strings"
 
@@ -264,24 +265,20 @@ func (th *Thread) Call(fn Value, args []Value, pos minipy.Position) (Value, erro
 }
 
 // CallKw invokes a callable value with keyword arguments.
-func (th *Thread) CallKw(fn Value, args []Value, kwargs map[string]Value, pos minipy.Position) (Value, error) {
+func (th *Thread) CallKw(fn Value, args []Value, kwargs map[string]Value, pos minipy.Position) (v Value, err error) {
 	if err := th.tick(pos); err != nil {
 		return nil, err
 	}
 	switch f := fn.(type) {
+	case *Function:
+		return th.callFunction(f, args, kwargs, pos)
 	case *Builtin:
-		if len(kwargs) > 0 {
-			if f.FnKw == nil {
-				return nil, typeErrorf(pos, "%s() takes no keyword arguments", f.Name)
-			}
-			return f.FnKw(th, args, kwargs)
-		}
-		if f.Fn == nil {
-			return f.FnKw(th, args, nil)
-		}
-		if f.ReleasesGIL && th.in.gil != nil {
-			var v Value
-			var err error
+		switch {
+		case len(kwargs) > 0 && f.FnKw == nil:
+			return nil, typeErrorf(pos, "%s() takes no keyword arguments", f.Name)
+		case len(kwargs) > 0 || f.Fn == nil:
+			v, err = f.FnKw(th, args, kwargs)
+		case f.ReleasesGIL && th.in.gil != nil:
 			gerr := th.callBlocking(func() error {
 				v, err = f.Fn(th, args)
 				return nil
@@ -289,18 +286,26 @@ func (th *Thread) CallKw(fn Value, args []Value, kwargs map[string]Value, pos mi
 			if gerr != nil {
 				return nil, gerr
 			}
-			return v, err
+		default:
+			v, err = f.Fn(th, args)
 		}
-		return f.Fn(th, args)
 	case *BoundMethod:
 		if len(kwargs) > 0 {
 			return nil, typeErrorf(pos, "method %s() takes no keyword arguments", f.Name)
 		}
-		return f.Fn(th, f.Recv, args)
-	case *Function:
-		return th.callFunction(f, args, kwargs, pos)
+		v, err = f.Fn(th, f.Recv, args)
+	default:
+		return nil, typeErrorf(pos, "'%s' object is not callable", TypeName(fn))
 	}
-	return nil, typeErrorf(pos, "'%s' object is not callable", TypeName(fn))
+	// A builtin or bound method has no source position of its own: an
+	// exception it raises without one is raised at the call site.
+	if err != nil {
+		var pe *PyError // escapes: declared on the error path only
+		if errors.As(err, &pe) && pe.Pos.Line == 0 {
+			pe.Pos = pos
+		}
+	}
+	return v, err
 }
 
 func (th *Thread) callFunction(f *Function, args []Value, kwargs map[string]Value, pos minipy.Position) (Value, error) {
@@ -513,7 +518,7 @@ func (th *Thread) getItem(cont, idx Value, pos minipy.Position) (Value, error) {
 			i += n
 		}
 		if i < 0 || i >= n {
-			return nil, &PyError{Type: "IndexError", Msg: "list index out of range", Pos: pos}
+			return nil, FaultLoad.Err(pos)
 		}
 		return c.Get(int(i)), nil
 	case *Tuple:
@@ -568,7 +573,7 @@ func (th *Thread) setItem(cont, idx, v Value, pos minipy.Position) error {
 			i += n
 		}
 		if i < 0 || i >= n {
-			return &PyError{Type: "IndexError", Msg: "list assignment index out of range", Pos: pos}
+			return FaultStore.Err(pos)
 		}
 		c.Set(int(i), v)
 		return nil
@@ -706,8 +711,13 @@ func repeatList(l *List, n int64) *List {
 	return NewList(out)
 }
 
+// intOp and floatOp dispatch on the operator inline (they are the
+// interpreter's hottest path); the operators that can fail are computed
+// by the shared definitions in numops.go.
 func (th *Thread) intOp(op string, a, b int64, pos minipy.Position) (Value, error) {
 	th.account()
+	var v int64
+	var ft Fault
 	switch op {
 	case "+":
 		return a + b, nil
@@ -716,28 +726,16 @@ func (th *Thread) intOp(op string, a, b int64, pos minipy.Position) (Value, erro
 	case "*":
 		return a * b, nil
 	case "/":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "division by zero", Pos: pos}
+		// True division of ints is float division, in every mode.
+		f, ft := DivF(float64(a), float64(b))
+		if ft != FaultNone {
+			return nil, ft.Err(pos)
 		}
-		return float64(a) / float64(b), nil
+		return f, nil
 	case "//":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "integer division or modulo by zero", Pos: pos}
-		}
-		q := a / b
-		if (a%b != 0) && ((a < 0) != (b < 0)) {
-			q--
-		}
-		return q, nil
+		v, ft = FloorDivI(a, b)
 	case "%":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "integer division or modulo by zero", Pos: pos}
-		}
-		m := a % b
-		if m != 0 && ((a < 0) != (b < 0)) {
-			m += b
-		}
-		return m, nil
+		v, ft = ModI(a, b)
 	case "**":
 		if b < 0 {
 			return math.Pow(float64(a), float64(b)), nil
@@ -760,21 +758,22 @@ func (th *Thread) intOp(op string, a, b int64, pos minipy.Position) (Value, erro
 	case "^":
 		return a ^ b, nil
 	case "<<":
-		if b < 0 {
-			return nil, valueErrorf(pos, "negative shift count")
-		}
-		return a << uint(b), nil
+		v, ft = ShlI(a, b)
 	case ">>":
-		if b < 0 {
-			return nil, valueErrorf(pos, "negative shift count")
-		}
-		return a >> uint(b), nil
+		v, ft = ShrI(a, b)
+	default:
+		return nil, typeErrorf(pos, "unsupported int operator %q", op)
 	}
-	return nil, typeErrorf(pos, "unsupported int operator %q", op)
+	if ft != FaultNone {
+		return nil, ft.Err(pos)
+	}
+	return v, nil
 }
 
 func (th *Thread) floatOp(op string, a, b float64, pos minipy.Position) (Value, error) {
 	th.account()
+	var v float64
+	var ft Fault
 	switch op {
 	case "+":
 		return a + b, nil
@@ -783,28 +782,20 @@ func (th *Thread) floatOp(op string, a, b float64, pos minipy.Position) (Value, 
 	case "*":
 		return a * b, nil
 	case "/":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "float division by zero", Pos: pos}
-		}
-		return a / b, nil
+		v, ft = DivF(a, b)
 	case "//":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "float floor division by zero", Pos: pos}
-		}
-		return math.Floor(a / b), nil
+		v, ft = FloorDivF(a, b)
 	case "%":
-		if b == 0 {
-			return nil, &PyError{Type: "ZeroDivisionError", Msg: "float modulo", Pos: pos}
-		}
-		m := math.Mod(a, b)
-		if m != 0 && ((m < 0) != (b < 0)) {
-			m += b
-		}
-		return m, nil
+		v, ft = ModF(a, b)
 	case "**":
 		return math.Pow(a, b), nil
+	default:
+		return nil, typeErrorf(pos, "unsupported operand type(s) for %s: 'float' and 'float'", op)
 	}
-	return nil, typeErrorf(pos, "unsupported operand type(s) for %s: 'float' and 'float'", op)
+	if ft != FaultNone {
+		return nil, ft.Err(pos)
+	}
+	return v, nil
 }
 
 func (th *Thread) unaryOp(op string, x Value, pos minipy.Position) (Value, error) {

@@ -466,7 +466,7 @@ func (th *Thread) execDel(fr *frame, target minipy.Expr) error {
 				return typeErrorf(tgt.NodePos(), "list indices must be integers")
 			}
 			if _, ok := c.Pop(int(i)); !ok {
-				return &PyError{Type: "IndexError", Msg: "list index out of range", Pos: tgt.NodePos()}
+				return FaultLoad.Err(tgt.NodePos())
 			}
 			return nil
 		}

@@ -91,7 +91,7 @@ func DeleteItem(cont, idx Value, pos minipy.Position) error {
 			return typeErrorf(pos, "list indices must be integers")
 		}
 		if _, ok := c.Pop(int(i)); !ok {
-			return &PyError{Type: "IndexError", Msg: "list index out of range", Pos: pos}
+			return FaultLoad.Err(pos)
 		}
 		return nil
 	}

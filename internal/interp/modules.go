@@ -32,7 +32,7 @@ func mathFn1(name string, fn func(float64) float64) (string, Value) {
 		}
 		r := fn(f)
 		if math.IsNaN(r) && !math.IsNaN(f) {
-			return nil, valueErrorf(minipy.Position{}, "math domain error")
+			return nil, FaultDomain.Err(minipy.Position{})
 		}
 		return r, nil
 	}}

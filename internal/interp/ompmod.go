@@ -288,7 +288,7 @@ func (in *Interp) installOmpModule() {
 				return nil, typeErrorf(minipy.Position{}, "loop bounds must be integers")
 			}
 			if st == 0 {
-				return nil, valueErrorf(minipy.Position{}, "range() arg 3 must not be zero")
+				return nil, FaultStep.Err(minipy.Position{})
 			}
 			trips = append(trips, rt.Triplet{Start: s, End: e, Step: st})
 		}
@@ -563,7 +563,7 @@ func (in *Interp) installOmpModule() {
 			return nil, typeErrorf(minipy.Position{}, "taskloop bounds must be integers")
 		}
 		if st == 0 {
-			return nil, valueErrorf(minipy.Position{}, "range() arg 3 must not be zero")
+			return nil, FaultStep.Err(minipy.Position{})
 		}
 		gs, ok4 := asInt(args[4])
 		nt, ok5 := asInt(args[5])

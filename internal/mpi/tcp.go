@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/omp4go/omp4go/internal/metrics"
+	"github.com/omp4go/omp4go/internal/rt"
 )
 
 // The TCP transport: each rank is a separate OS process and frames
@@ -30,20 +31,15 @@ import (
 // channel and the rank-0 data link.
 
 // Environment variables a rank process reads to join a TCP world
-// (EnvTCPConfig). The launcher cmd/omp4go-mpirun sets all of them.
+// (EnvTCPConfig). The launcher cmd/omp4go-mpirun sets all of them, and
+// OMP_DISPLAY_ENV=verbose lists them: EnvTCPConfig reads them through
+// rt.ListedEnv, which refuses a name the runtime's table lacks.
 const (
 	EnvMPIAddr     = "OMP4GO_MPI_ADDR"
 	EnvMPIRank     = "OMP4GO_MPI_RANK"
 	EnvMPISize     = "OMP4GO_MPI_SIZE"
 	EnvMPICoalesce = "OMP4GO_MPI_COALESCE"
 )
-
-// EnvVarNames lists the OMP4GO_MPI_* variables in display order. The
-// runtime's OMP_DISPLAY_ENV=verbose output mirrors this list (a test
-// pins the two in sync).
-func EnvVarNames() []string {
-	return []string{EnvMPIAddr, EnvMPIRank, EnvMPISize, EnvMPICoalesce}
-}
 
 // TCPConfig describes one rank's place in a multi-process world.
 type TCPConfig struct {
@@ -68,6 +64,7 @@ type TCPConfig struct {
 // getenv (normally os.Getenv). ok is false when OMP4GO_MPI_ADDR is
 // unset — the process is not part of a TCP world.
 func EnvTCPConfig(getenv func(string) string) (cfg TCPConfig, ok bool, err error) {
+	getenv = rt.ListedEnv(getenv)
 	cfg.Addr = getenv(EnvMPIAddr)
 	if cfg.Addr == "" {
 		return TCPConfig{}, false, nil

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/omp4go/omp4go/internal/metrics"
-	"github.com/omp4go/omp4go/internal/rt"
 )
 
 // TestMain doubles as the rank entry point for tests that need real
@@ -389,21 +388,5 @@ func TestTCPSizeOneNeedsNoNetwork(t *testing.T) {
 	}
 	if d, err := c.Recv(0, 0); err != nil || d[0] != 1 {
 		t.Fatalf("self recv = %v, %v", d, err)
-	}
-}
-
-// TestMPIEnvVarsMirrorDisplayEnv keeps the OMP_DISPLAY_ENV=verbose
-// mirror in internal/rt in sync with this package's parser, the same
-// contract internal/serve pins for OMP4GO_SERVE_*.
-func TestMPIEnvVarsMirrorDisplayEnv(t *testing.T) {
-	displayed := rt.DisplayedMPIEnvVars()
-	parsed := EnvVarNames()
-	if len(displayed) != len(parsed) {
-		t.Fatalf("display lists %d vars, parser %d", len(displayed), len(parsed))
-	}
-	for i := range parsed {
-		if displayed[i] != parsed[i] {
-			t.Errorf("var %d: display %q, parser %q", i, displayed[i], parsed[i])
-		}
 	}
 }

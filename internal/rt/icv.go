@@ -36,67 +36,14 @@ type icvSet struct {
 	displayEnv      string        // OMP_DISPLAY_ENV: "", "true" or "verbose"
 	traceFile       string        // OMP4GO_TRACE output file (tool activation)
 	taskSched       string        // OMP4GO_TASK_SCHED: "", "steal" or "list"
-	poolMode        string        // OMP4GO_POOL: "", "on" or "off"
 	kernelMode      string        // OMP4GO_COMPILE_KERNELS: "", "on" or "off"
 	metricsAddr     string        // OMP4GO_METRICS listen address ("" = off)
 	watchdog        time.Duration // OMP4GO_WATCHDOG stall threshold (0 = off)
 	profileMode     string        // OMP4GO_PROFILE: "", "on" or "off" (default on)
 	flightDir       string        // OMP4GO_FLIGHT dump directory ("" = off)
-	// serveEnv holds the raw OMP4GO_SERVE_* values that were set
-	// (internal/serve owns their parsing; see serveEnvVars).
-	serveEnv map[string]string
-	// mpiEnv holds the raw OMP4GO_MPI_* values that were set
-	// (internal/mpi owns their parsing; see mpiEnvVars).
-	mpiEnv map[string]string
-}
-
-// serveEnvVars are the execution-service environment variables
-// (internal/serve/config.go defines and parses them; serve sits above
-// rt so the names are mirrored here). OMP_DISPLAY_ENV=verbose lists
-// them so a deployment can see its full configuration in one report.
-var serveEnvVars = []string{
-	"OMP4GO_SERVE_ADDR",
-	"OMP4GO_SERVE_MAX_BODY_BYTES",
-	"OMP4GO_SERVE_MAX_STEPS",
-	"OMP4GO_SERVE_MAX_ALLOCS",
-	"OMP4GO_SERVE_MAX_WALL",
-	"OMP4GO_SERVE_MAX_THREADS",
-	"OMP4GO_SERVE_MAX_WORKERS",
-	"OMP4GO_SERVE_QUEUE_DEPTH",
-	"OMP4GO_SERVE_HISTORY",
-	"OMP4GO_SERVE_TOKENS",
-	"OMP4GO_SERVE_WATCHDOG",
-	"OMP4GO_SERVE_MAX_SESSIONS",
-	"OMP4GO_SERVE_SESSION_IDLE",
-	"OMP4GO_SERVE_FLIGHT",
-}
-
-// DisplayedServeEnvVars returns the OMP4GO_SERVE_* names the verbose
-// display lists, letting internal/serve's tests assert the mirror
-// stays in sync with its parser.
-func DisplayedServeEnvVars() []string {
-	out := make([]string, len(serveEnvVars))
-	copy(out, serveEnvVars)
-	return out
-}
-
-// mpiEnvVars are the distributed-transport environment variables
-// (internal/mpi/tcp.go defines and parses them; mpi sits above rt so
-// the names are mirrored here, like serveEnvVars).
-var mpiEnvVars = []string{
-	"OMP4GO_MPI_ADDR",
-	"OMP4GO_MPI_RANK",
-	"OMP4GO_MPI_SIZE",
-	"OMP4GO_MPI_COALESCE",
-}
-
-// DisplayedMPIEnvVars returns the OMP4GO_MPI_* names the verbose
-// display lists, letting internal/mpi's tests assert the mirror stays
-// in sync with its parser.
-func DisplayedMPIEnvVars() []string {
-	out := make([]string, len(mpiEnvVars))
-	copy(out, mpiEnvVars)
-	return out
+	// extern holds the raw values of the variables the packages above
+	// rt parse (see external).
+	extern map[string]string
 }
 
 func defaultICVs() icvSet {
@@ -111,160 +58,221 @@ func defaultICVs() icvSet {
 	}
 }
 
-// loadEnv applies OMP_NUM_THREADS, OMP_SCHEDULE, OMP_DYNAMIC,
-// OMP_NESTED, OMP_THREAD_LIMIT, OMP_MAX_ACTIVE_LEVELS,
-// OMP_WAIT_POLICY and OMP_DISPLAY_ENV, matching the
-// environment-variable surface of OpenMP 3.0, plus the OMP4Go
-// extension OMP4GO_TRACE (tool activation, mirroring OMP_TOOL).
+// envVar is one row of envTable: an environment variable, how its
+// (trimmed, non-empty) value lands in the ICV set and how the
+// OMP_DISPLAY_ENV report shows it.
+type envVar struct {
+	name    string
+	verbose bool // reported only by OMP_DISPLAY_ENV=verbose
+	parse   func(s *icvSet, v string)
+	show    func(s *icvSet) string // nil: never reported
+}
+
+// envTable is the environment surface of the runtime: the OMP_*
+// variables of OpenMP 3.0, the OMP4GO_* extensions, and the variables
+// of the packages above rt. loadEnv parses the rows, display reports
+// them in this order, and the knob table in docs/runtime.md lists them
+// (TestKnobTableListsEveryVariable). Unparsable values keep the
+// default, as libgomp does.
+var envTable = []envVar{
+	{name: "OMP_DYNAMIC",
+		parse: func(s *icvSet, v string) { s.dynamic = parseOnOff(v) == "on" },
+		show:  func(s *icvSet) string { return strings.ToUpper(strconv.FormatBool(s.dynamic)) }},
+	{name: "OMP_NESTED",
+		parse: func(s *icvSet, v string) { s.nested = parseOnOff(v) == "on" },
+		show:  func(s *icvSet) string { return strings.ToUpper(strconv.FormatBool(s.nested)) }},
+	{name: "OMP_NUM_THREADS",
+		// OpenMP allows a comma-separated list for nested levels; the
+		// first entry applies to the outermost level.
+		parse: func(s *icvSet, v string) { s.numThreads = parseCount(strings.Split(v, ",")[0], 1, s.numThreads) },
+		show:  func(s *icvSet) string { return strconv.Itoa(s.numThreads) }},
+	{name: "OMP_SCHEDULE",
+		parse: func(s *icvSet, v string) {
+			if sched, err := ParseScheduleEnv(v); err == nil {
+				s.runSched = sched
+			}
+		},
+		show: func(s *icvSet) string { return scheduleEnvString(s.runSched) }},
+	{name: "OMP_THREAD_LIMIT",
+		parse: func(s *icvSet, v string) { s.threadLimit = parseCount(v, 1, s.threadLimit) },
+		show:  func(s *icvSet) string { return strconv.Itoa(s.threadLimit) }},
+	{name: "OMP_MAX_ACTIVE_LEVELS",
+		parse: func(s *icvSet, v string) { s.maxActiveLevels = parseCount(v, 0, s.maxActiveLevels) },
+		show:  func(s *icvSet) string { return strconv.Itoa(s.maxActiveLevels) }},
+	{name: "OMP_WAIT_POLICY",
+		// The idle loop of pool workers between regions (pool.go):
+		// "active" spins before parking, "passive" parks immediately.
+		parse: func(s *icvSet, v string) {
+			if p, err := parseWaitPolicy(v); err == nil {
+				s.waitPolicy = p
+			}
+		},
+		show: func(s *icvSet) string { return strings.ToUpper(waitPolicyOrDefault(s.waitPolicy)) }},
+	{name: "OMP_DISPLAY_ENV",
+		parse: func(s *icvSet, v string) {
+			if strings.EqualFold(v, "verbose") {
+				s.displayEnv = "verbose"
+			} else if parseOnOff(v) == "on" {
+				s.displayEnv = "true"
+			}
+		}},
+	{name: "OMP4GO_TRACE", verbose: true, // tool activation, mirroring OMP_TOOL
+		parse: func(s *icvSet, v string) { s.traceFile = v },
+		show:  func(s *icvSet) string { return s.traceFile }},
+	{name: "OMP4GO_TASK_SCHED", verbose: true,
+		// "steal" (default, per-thread work-stealing deques) or "list"
+		// (the paper's shared linked-list queue, kept for differential
+		// comparison).
+		parse: func(s *icvSet, v string) {
+			if v = strings.ToLower(v); v == "steal" || v == "list" {
+				s.taskSched = v
+			}
+		},
+		show: func(s *icvSet) string { return parseSchedMode(s.taskSched).String() }},
+	// "off" forces the closure chain and the interp-bridge lowering, the
+	// differential baseline of the typed loop IR and compiled kernels.
+	defaultOn("OMP4GO_COMPILE_KERNELS", func(s *icvSet) *string { return &s.kernelMode }),
+	{name: "OMP4GO_METRICS", verbose: true, // listen address of serve.go, e.g. ":9090"
+		parse: func(s *icvSet, v string) { s.metricsAddr = v },
+		show:  func(s *icvSet) string { return s.metricsAddr }},
+	{name: "OMP4GO_WATCHDOG", verbose: true,
+		// Stall threshold of watchdog.go, e.g. "5s"; a bare number is
+		// taken as seconds.
+		parse: func(s *icvSet, v string) {
+			if d, err := time.ParseDuration(v); err == nil && d > 0 {
+				s.watchdog = d
+			} else if secs, err := strconv.Atoi(v); err == nil && secs > 0 {
+				s.watchdog = time.Duration(secs) * time.Second
+			}
+		},
+		show: func(s *icvSet) string {
+			if s.watchdog <= 0 {
+				return ""
+			}
+			return s.watchdog.String()
+		}},
+	// The time-attribution profiler (internal/prof).
+	defaultOn("OMP4GO_PROFILE", func(s *icvSet) *string { return &s.profileMode }),
+	{name: "OMP4GO_FLIGHT", verbose: true,
+		// Flight recorder (flight.go): a directory for stall/kill dumps,
+		// or an on-spelling for a default one under the OS temp dir.
+		parse: func(s *icvSet, v string) {
+			switch parseOnOff(v) {
+			case "on":
+				s.flightDir = defaultFlightDir()
+			case "":
+				s.flightDir = v
+			}
+		},
+		show: func(s *icvSet) string { return s.flightDir }},
+	external("OMP4GO_SERVE_ADDR"),
+	external("OMP4GO_SERVE_MAX_BODY_BYTES"),
+	external("OMP4GO_SERVE_MAX_STEPS"),
+	external("OMP4GO_SERVE_MAX_ALLOCS"),
+	external("OMP4GO_SERVE_MAX_WALL"),
+	external("OMP4GO_SERVE_MAX_THREADS"),
+	external("OMP4GO_SERVE_MAX_WORKERS"),
+	external("OMP4GO_SERVE_QUEUE_DEPTH"),
+	external("OMP4GO_SERVE_HISTORY"),
+	{name: "OMP4GO_SERVE_TOKENS", verbose: true, parse: external("OMP4GO_SERVE_TOKENS").parse,
+		// Tokens are credentials: report how many were set, never their
+		// values.
+		show: func(s *icvSet) string {
+			v := s.extern["OMP4GO_SERVE_TOKENS"]
+			if v == "" {
+				return ""
+			}
+			return fmt.Sprintf("(%d tokens)", 1+strings.Count(v, ","))
+		}},
+	external("OMP4GO_SERVE_WATCHDOG"),
+	external("OMP4GO_SERVE_MAX_SESSIONS"),
+	external("OMP4GO_SERVE_SESSION_IDLE"),
+	external("OMP4GO_SERVE_FLIGHT"),
+	external("OMP4GO_MPI_ADDR"),
+	external("OMP4GO_MPI_RANK"),
+	external("OMP4GO_MPI_SIZE"),
+	external("OMP4GO_MPI_COALESCE"),
+}
+
+// parseOnOff normalizes the boolean spellings of the environment to
+// "on" or "off"; anything else is "".
+func parseOnOff(v string) string {
+	switch strings.ToLower(strings.TrimSpace(v)) {
+	case "1", "true", "yes", "on":
+		return "on"
+	case "0", "false", "no", "off":
+		return "off"
+	}
+	return ""
+}
+
+// parseCount reads an integer of at least min, or keeps cur.
+func parseCount(v string, min, cur int) int {
+	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= min {
+		return n
+	}
+	return cur
+}
+
+// defaultOn is the row of an extension that is on unless switched off;
+// field holds "", "on" or "off".
+func defaultOn(name string, field func(*icvSet) *string) envVar {
+	return envVar{name: name, verbose: true,
+		parse: func(s *icvSet, v string) {
+			if m := parseOnOff(v); m != "" {
+				*field(s) = m
+			}
+		},
+		show: func(s *icvSet) string {
+			if *field(s) == "off" {
+				return "off"
+			}
+			return "on"
+		}}
+}
+
+// external is the row of a variable that a package above rt defines
+// and parses (internal/serve, internal/mpi; they cannot be imported
+// from here). Its raw value is kept so that OMP_DISPLAY_ENV=verbose
+// gives one complete picture of a deployment's environment, and those
+// packages read their environment through ListedEnv, so a variable
+// cannot be parsed there without being listed here.
+func external(name string) envVar {
+	return envVar{name: name, verbose: true,
+		parse: func(s *icvSet, v string) {
+			if s.extern == nil {
+				s.extern = map[string]string{}
+			}
+			s.extern[name] = v
+		},
+		show: func(s *icvSet) string { return s.extern[name] }}
+}
+
+// ListedEnv wraps an environment lookup (nil means os.Getenv) for the
+// packages whose variables envTable lists as external: reading a name
+// the table does not list is a bug there, not a configuration error.
+func ListedEnv(getenv func(string) string) func(string) string {
+	if getenv == nil {
+		getenv = os.Getenv
+	}
+	return func(name string) string {
+		for i := range envTable {
+			if envTable[i].name == name {
+				return getenv(name)
+			}
+		}
+		panic("rt: environment variable " + name + " is read but not listed in envTable (icv.go)")
+	}
+}
+
+// loadEnv applies the environment to the ICV set, row by row.
 func (s *icvSet) loadEnv(getenv func(string) string) {
 	if getenv == nil {
 		getenv = os.Getenv
 	}
-	if v := getenv("OMP_NUM_THREADS"); v != "" {
-		// OpenMP allows a comma-separated list for nested levels; the
-		// first entry applies to the outermost level.
-		first := strings.Split(v, ",")[0]
-		if n, err := strconv.Atoi(strings.TrimSpace(first)); err == nil && n > 0 {
-			s.numThreads = n
-		}
-	}
-	if v := getenv("OMP_SCHEDULE"); v != "" {
-		if sched, err := ParseScheduleEnv(v); err == nil {
-			s.runSched = sched
-		}
-	}
-	if v := getenv("OMP_DYNAMIC"); v != "" {
-		s.dynamic = isEnvTrue(v)
-	}
-	if v := getenv("OMP_NESTED"); v != "" {
-		s.nested = isEnvTrue(v)
-	}
-	if v := getenv("OMP_THREAD_LIMIT"); v != "" {
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 {
-			s.threadLimit = n
-		}
-	}
-	if v := getenv("OMP_MAX_ACTIVE_LEVELS"); v != "" {
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
-			s.maxActiveLevels = n
-		}
-	}
-	if v := getenv("OMP_WAIT_POLICY"); v != "" {
-		// The policy controls the idle loop of persistent pool
-		// workers between regions (pool.go): "active" spins before
-		// parking, "passive" parks immediately. Unknown values keep
-		// the default, as libgomp does.
-		if p, err := parseWaitPolicy(v); err == nil {
-			s.waitPolicy = p
-		}
-	}
-	if v := getenv("OMP_DISPLAY_ENV"); v != "" {
-		switch strings.ToLower(strings.TrimSpace(v)) {
-		case "1", "true", "yes", "on":
-			s.displayEnv = "true"
-		case "verbose":
-			s.displayEnv = "verbose"
-		}
-	}
-	if v := getenv("OMP4GO_TRACE"); v != "" {
-		s.traceFile = strings.TrimSpace(v)
-	}
-	if v := getenv("OMP4GO_POOL"); v != "" {
-		// Worker-pool selection: "on" (default, persistent worker
-		// goroutines reused across regions) or "off" (the seed's
-		// spawn-per-region path, kept as a differential baseline
-		// mirroring OMP4GO_TASK_SCHED=list).
-		switch strings.ToLower(strings.TrimSpace(v)) {
-		case "1", "true", "yes", "on":
-			s.poolMode = "on"
-		case "0", "false", "no", "off":
-			s.poolMode = "off"
-		}
-	}
-	if v := getenv("OMP4GO_COMPILE_KERNELS"); v != "" {
-		// Compiled loop kernels: "on" (default; the compiled tier may
-		// replace static-schedule worksharing loops with runtime-aware
-		// kernels) or "off" (force the interp-bridge lowering, the
-		// differential baseline mirroring OMP4GO_POOL=off).
-		switch strings.ToLower(strings.TrimSpace(v)) {
-		case "1", "true", "yes", "on":
-			s.kernelMode = "on"
-		case "0", "false", "no", "off":
-			s.kernelMode = "off"
-		}
-	}
-	if v := getenv("OMP4GO_METRICS"); v != "" {
-		// Listen address for the live metrics/introspection endpoint
-		// (serve.go), e.g. ":9090" or "127.0.0.1:0".
-		s.metricsAddr = strings.TrimSpace(v)
-	}
-	if v := getenv("OMP4GO_PROFILE"); v != "" {
-		// Time-attribution profiler (internal/prof): "on" (the
-		// default — multi-thread regions attribute their time into
-		// the per-state breakdown) or "off".
-		switch strings.ToLower(strings.TrimSpace(v)) {
-		case "1", "true", "yes", "on":
-			s.profileMode = "on"
-		case "0", "false", "no", "off":
-			s.profileMode = "off"
-		}
-	}
-	if v := getenv("OMP4GO_FLIGHT"); v != "" {
-		// Flight recorder (flight.go): a directory to write
-		// stall/kill-triggered dumps into, or an on-spelling for a
-		// default directory under the OS temp dir. Off-spellings keep
-		// it disabled.
-		t := strings.TrimSpace(v)
-		switch strings.ToLower(t) {
-		case "0", "false", "no", "off":
-		case "1", "true", "yes", "on":
-			s.flightDir = defaultFlightDir()
-		default:
-			s.flightDir = t
-		}
-	}
-	if v := getenv("OMP4GO_WATCHDOG"); v != "" {
-		// Stall threshold for the watchdog (watchdog.go), e.g. "5s".
-		// A bare number is taken as seconds; unparsable or
-		// non-positive values leave the watchdog off.
-		t := strings.TrimSpace(v)
-		if d, err := time.ParseDuration(t); err == nil && d > 0 {
-			s.watchdog = d
-		} else if secs, err := strconv.Atoi(t); err == nil && secs > 0 {
-			s.watchdog = time.Duration(secs) * time.Second
-		}
-	}
-	// Execution-service variables (parsed by internal/serve, which
-	// sits above rt and cannot be imported from here). They are
-	// captured raw so OMP_DISPLAY_ENV=verbose gives one complete
-	// picture of a deployment's environment.
-	for _, name := range serveEnvVars {
-		if v := strings.TrimSpace(getenv(name)); v != "" {
-			if s.serveEnv == nil {
-				s.serveEnv = map[string]string{}
-			}
-			s.serveEnv[name] = v
-		}
-	}
-	// Distributed-transport variables (parsed by internal/mpi),
-	// captured raw for the same reason.
-	for _, name := range mpiEnvVars {
-		if v := strings.TrimSpace(getenv(name)); v != "" {
-			if s.mpiEnv == nil {
-				s.mpiEnv = map[string]string{}
-			}
-			s.mpiEnv[name] = v
-		}
-	}
-	if v := getenv("OMP4GO_TASK_SCHED"); v != "" {
-		// Scheduler selection: "steal" (default, per-thread
-		// work-stealing deques) or "list" (the paper's shared
-		// linked-list queue, kept for differential comparison).
-		switch strings.ToLower(strings.TrimSpace(v)) {
-		case "steal":
-			s.taskSched = "steal"
-		case "list":
-			s.taskSched = "list"
+	for i := range envTable {
+		if v := strings.TrimSpace(getenv(envTable[i].name)); v != "" {
+			envTable[i].parse(s, v)
 		}
 	}
 }
@@ -275,57 +283,12 @@ var displayEnvOut io.Writer = os.Stderr
 
 // display prints the ICVs in libgomp's OMP_DISPLAY_ENV format.
 func (s *icvSet) display(w io.Writer) {
-	onoff := func(b bool) string {
-		if b {
-			return "TRUE"
-		}
-		return "FALSE"
-	}
 	fmt.Fprintln(w, "OPENMP DISPLAY ENVIRONMENT BEGIN")
 	fmt.Fprintf(w, "  _OPENMP = '200805'\n") // OpenMP 3.0
-	fmt.Fprintf(w, "  OMP_DYNAMIC = '%s'\n", onoff(s.dynamic))
-	fmt.Fprintf(w, "  OMP_NESTED = '%s'\n", onoff(s.nested))
-	fmt.Fprintf(w, "  OMP_NUM_THREADS = '%d'\n", s.numThreads)
-	fmt.Fprintf(w, "  OMP_SCHEDULE = '%s'\n", scheduleEnvString(s.runSched))
-	fmt.Fprintf(w, "  OMP_THREAD_LIMIT = '%d'\n", s.threadLimit)
-	fmt.Fprintf(w, "  OMP_MAX_ACTIVE_LEVELS = '%d'\n", s.maxActiveLevels)
-	fmt.Fprintf(w, "  OMP_WAIT_POLICY = '%s'\n", strings.ToUpper(waitPolicyOrDefault(s.waitPolicy)))
-	if s.displayEnv == "verbose" {
-		fmt.Fprintf(w, "  OMP4GO_TRACE = '%s'\n", s.traceFile)
-		fmt.Fprintf(w, "  OMP4GO_TASK_SCHED = '%s'\n", parseSchedMode(s.taskSched))
-		pool := "on"
-		if s.poolMode == "off" {
-			pool = "off"
-		}
-		fmt.Fprintf(w, "  OMP4GO_POOL = '%s'\n", pool)
-		kern := "on"
-		if s.kernelMode == "off" {
-			kern = "off"
-		}
-		fmt.Fprintf(w, "  OMP4GO_COMPILE_KERNELS = '%s'\n", kern)
-		fmt.Fprintf(w, "  OMP4GO_METRICS = '%s'\n", s.metricsAddr)
-		wd := ""
-		if s.watchdog > 0 {
-			wd = s.watchdog.String()
-		}
-		fmt.Fprintf(w, "  OMP4GO_WATCHDOG = '%s'\n", wd)
-		profile := "on"
-		if s.profileMode == "off" {
-			profile = "off"
-		}
-		fmt.Fprintf(w, "  OMP4GO_PROFILE = '%s'\n", profile)
-		fmt.Fprintf(w, "  OMP4GO_FLIGHT = '%s'\n", s.flightDir)
-		for _, name := range serveEnvVars {
-			v := s.serveEnv[name]
-			if name == "OMP4GO_SERVE_TOKENS" && v != "" {
-				// Tokens are credentials: report how many were set,
-				// never their values.
-				v = fmt.Sprintf("(%d tokens)", 1+strings.Count(v, ","))
-			}
-			fmt.Fprintf(w, "  %s = '%s'\n", name, v)
-		}
-		for _, name := range mpiEnvVars {
-			fmt.Fprintf(w, "  %s = '%s'\n", name, s.mpiEnv[name])
+	for i := range envTable {
+		row := &envTable[i]
+		if row.show != nil && (!row.verbose || s.displayEnv == "verbose") {
+			fmt.Fprintf(w, "  %s = '%s'\n", row.name, row.show(s))
 		}
 	}
 	fmt.Fprintln(w, "OPENMP DISPLAY ENVIRONMENT END")
@@ -358,14 +321,6 @@ func scheduleEnvString(s Schedule) string {
 		out += "," + strconv.FormatInt(s.Chunk, 10)
 	}
 	return out
-}
-
-func isEnvTrue(v string) bool {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }
 
 // ParseScheduleEnv parses an OMP_SCHEDULE value such as "dynamic,4".

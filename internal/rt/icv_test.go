@@ -315,3 +315,39 @@ func TestEnvTraceActivation(t *testing.T) {
 		t.Fatalf("no-op FlushTrace: %v", err)
 	}
 }
+
+// TestListedEnv: internal/serve and internal/mpi read their variables
+// through ListedEnv. A name envTable lists reads through; one it lacks
+// — a variable that would be parsed but never displayed — is refused.
+func TestListedEnv(t *testing.T) {
+	getenv := ListedEnv(fakeEnv(map[string]string{"OMP4GO_SERVE_ADDR": ":8500", "OMP_NOT_LISTED": "1"}))
+	if got := getenv("OMP4GO_SERVE_ADDR"); got != ":8500" {
+		t.Errorf("listed variable read %q, want :8500", got)
+	}
+	if got := getenv("OMP4GO_MPI_RANK"); got != "" {
+		t.Errorf("unset listed variable read %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("reading a variable envTable does not list did not panic")
+		}
+	}()
+	getenv("OMP_NOT_LISTED")
+}
+
+// TestKnobTableListsEveryVariable keeps the knob table of
+// docs/runtime.md on envTable: every variable the runtime parses or
+// displays has a row there.
+func TestKnobTableListsEveryVariable(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/runtime.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, knobs, _ := strings.Cut(string(doc), "\n## Knobs\n")
+	knobs, _, _ = strings.Cut(knobs, "\n## ")
+	for _, row := range envTable {
+		if !strings.Contains(knobs, "| `"+row.name+"` |") {
+			t.Errorf("docs/runtime.md knob table has no row for %s", row.name)
+		}
+	}
+}

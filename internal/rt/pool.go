@@ -17,8 +17,7 @@ import (
 // OMP_WAIT_POLICY-controlled idle loop. Here each Runtime owns a pool
 // of long-lived worker goroutines: Parallel dispatches region bodies
 // to already-running workers through their park slots (layer.go), and
-// only falls back to `go func` when the pool is exhausted or disabled
-// (OMP4GO_POOL=off, the spawn-per-region differential baseline).
+// only falls back to `go func` when the pool is exhausted or shut down.
 //
 // Pool workers carry a stable global thread id (gtid) across regions,
 // so per-thread structures keyed by thread identity — the OMPT

@@ -7,30 +7,6 @@ import (
 	"time"
 )
 
-// poolEnv builds the NewWithEnv getenv for a given pool mode ("on",
-// "off", or "" for the default).
-func poolEnv(mode string) func(string) string {
-	if mode == "" {
-		return func(string) string { return "" }
-	}
-	return fakeEnv(map[string]string{"OMP4GO_POOL": mode})
-}
-
-func TestPoolEnabledEnv(t *testing.T) {
-	for _, tc := range []struct {
-		mode string
-		want bool
-	}{
-		{"", true}, {"on", true}, {"1", true}, {"off", false}, {"0", false},
-	} {
-		r := NewWithEnv(LayerAtomic, poolEnv(tc.mode))
-		if got := r.PoolEnabled(); got != tc.want {
-			t.Errorf("OMP4GO_POOL=%q: PoolEnabled() = %v, want %v", tc.mode, got, tc.want)
-		}
-		r.Shutdown()
-	}
-}
-
 // memberGtids runs one region of n threads and returns the gtids of
 // the non-master members (the threads pool workers execute).
 func memberGtids(t *testing.T, r *Runtime, n int) map[int32]bool {
@@ -51,14 +27,14 @@ func memberGtids(t *testing.T, r *Runtime, n int) map[int32]bool {
 	return gtids
 }
 
-// TestPoolGtidStability: with the pool on, non-master members carry
-// the same worker gtids across consecutive regions — the stable
-// thread-identity contract OMPT rings and recycled deques rely on.
-// With the pool off, every region gets fresh identities.
+// TestPoolGtidStability: non-master members carry the same worker
+// gtids across consecutive regions — the stable thread-identity
+// contract OMPT rings and recycled deques rely on. Members spawned
+// because the pool is shut down get fresh identities every region.
 func TestPoolGtidStability(t *testing.T) {
 	const n, regions = 4, 5
 	for _, l := range bothLayers {
-		pooled := NewWithEnv(l, poolEnv("on"))
+		pooled := NewWithEnv(l, fakeEnv(nil))
 		union := make(map[int32]bool)
 		for i := 0; i < regions; i++ {
 			for g := range memberGtids(t, pooled, n) {
@@ -66,20 +42,19 @@ func TestPoolGtidStability(t *testing.T) {
 			}
 		}
 		if len(union) != n-1 {
-			t.Errorf("%v pool=on: %d distinct member gtids over %d regions, want %d",
+			t.Errorf("%v pooled: %d distinct member gtids over %d regions, want %d",
 				l, len(union), regions, n-1)
 		}
 		pooled.Shutdown()
 
-		spawned := NewWithEnv(l, poolEnv("off"))
 		union = make(map[int32]bool)
 		for i := 0; i < regions; i++ {
-			for g := range memberGtids(t, spawned, n) {
+			for g := range memberGtids(t, pooled, n) {
 				union[g] = true
 			}
 		}
 		if len(union) != (n-1)*regions {
-			t.Errorf("%v pool=off: %d distinct member gtids over %d regions, want %d",
+			t.Errorf("%v spawned: %d distinct member gtids over %d regions, want %d",
 				l, len(union), regions, (n-1)*regions)
 		}
 	}
@@ -89,7 +64,7 @@ func TestPoolGtidStability(t *testing.T) {
 // is back on the free list — no slot leaks.
 func TestPoolSlotsReleased(t *testing.T) {
 	for _, l := range bothLayers {
-		r := NewWithEnv(l, poolEnv("on"))
+		r := NewWithEnv(l, fakeEnv(nil))
 		for i := 0; i < 3; i++ {
 			var ran atomic.Int32
 			err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 6}, func(c *Context) error {
@@ -114,61 +89,56 @@ func TestPoolSlotsReleased(t *testing.T) {
 	}
 }
 
-// TestNestedParallelPoolMatrix covers nested regions across both sync
-// layers and both pool modes: team sizes, ancestor thread numbers,
-// and active levels must be identical in all four cells, and the pool
-// must hold no borrowed slots afterwards.
-func TestNestedParallelPoolMatrix(t *testing.T) {
+// TestNestedParallelBothLayers covers nested regions across both sync
+// layers: team sizes, ancestor thread numbers and active levels must
+// be right in both, and the pool must hold no borrowed slots
+// afterwards.
+func TestNestedParallelBothLayers(t *testing.T) {
 	for _, l := range bothLayers {
-		for _, mode := range []string{"on", "off"} {
-			r := NewWithEnv(l, poolEnv(mode))
-			r.SetNested(true)
-			var inner atomic.Int32
-			var badTeam, badAncestor, badLevel atomic.Int32
-			err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 3}, func(outer *Context) error {
-				outerNum := outer.GetThreadNum()
-				if outer.GetNumThreads() != 3 {
+		r := NewWithEnv(l, fakeEnv(nil))
+		r.SetNested(true)
+		var inner atomic.Int32
+		var badTeam, badAncestor, badLevel atomic.Int32
+		err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 3}, func(outer *Context) error {
+			outerNum := outer.GetThreadNum()
+			if outer.GetNumThreads() != 3 {
+				badTeam.Add(1)
+			}
+			return r.Parallel(outer, ParallelOpts{NumThreads: 2}, func(c *Context) error {
+				inner.Add(1)
+				if c.GetNumThreads() != 2 || c.GetTeamSize(1) != 3 {
 					badTeam.Add(1)
 				}
-				return r.Parallel(outer, ParallelOpts{NumThreads: 2}, func(c *Context) error {
-					inner.Add(1)
-					if c.GetNumThreads() != 2 || c.GetTeamSize(1) != 3 {
-						badTeam.Add(1)
-					}
-					if c.GetAncestorThreadNum(1) != outerNum {
-						badAncestor.Add(1)
-					}
-					if c.GetActiveLevel() != 2 || c.GetLevel() != 2 {
-						badLevel.Add(1)
-					}
-					return nil
-				})
-			})
-			if err != nil {
-				t.Fatalf("%v pool=%s: %v", l, mode, err)
-			}
-			if got := inner.Load(); got != 6 {
-				t.Errorf("%v pool=%s: %d inner executions, want 6", l, mode, got)
-			}
-			if badTeam.Load() != 0 || badAncestor.Load() != 0 || badLevel.Load() != 0 {
-				t.Errorf("%v pool=%s: team/ancestor/level mismatches: %d/%d/%d",
-					l, mode, badTeam.Load(), badAncestor.Load(), badLevel.Load())
-			}
-			if mode == "on" {
-				idle, total := r.pool.counts()
-				if idle != total {
-					t.Errorf("%v pool=on: %d idle != %d total after nested regions", l, idle, total)
+				if c.GetAncestorThreadNum(1) != outerNum {
+					badAncestor.Add(1)
 				}
-			}
-			r.Shutdown()
+				if c.GetActiveLevel() != 2 || c.GetLevel() != 2 {
+					badLevel.Add(1)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", l, err)
 		}
+		if got := inner.Load(); got != 6 {
+			t.Errorf("%v: %d inner executions, want 6", l, got)
+		}
+		if badTeam.Load() != 0 || badAncestor.Load() != 0 || badLevel.Load() != 0 {
+			t.Errorf("%v: team/ancestor/level mismatches: %d/%d/%d",
+				l, badTeam.Load(), badAncestor.Load(), badLevel.Load())
+		}
+		if idle, total := r.pool.counts(); idle != total {
+			t.Errorf("%v: %d idle != %d total after nested regions", l, idle, total)
+		}
+		r.Shutdown()
 	}
 }
 
 // TestShutdownFallsBackToSpawn: a runtime stays usable after
 // Shutdown, spawning goroutines per region, and the pool stays empty.
 func TestShutdownFallsBackToSpawn(t *testing.T) {
-	r := NewWithEnv(LayerAtomic, poolEnv("on"))
+	r := NewWithEnv(LayerAtomic, fakeEnv(nil))
 	if err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 4}, func(c *Context) error {
 		return nil
 	}); err != nil {
@@ -193,7 +163,7 @@ func TestShutdownFallsBackToSpawn(t *testing.T) {
 // TestWorkerIdleRetirement: parked workers retire after the idle
 // timeout, so short-lived runtimes do not pin goroutines.
 func TestWorkerIdleRetirement(t *testing.T) {
-	r := NewWithEnv(LayerAtomic, poolEnv("on"))
+	r := NewWithEnv(LayerAtomic, fakeEnv(nil))
 	if err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 4}, func(c *Context) error {
 		return nil
 	}); err != nil {
@@ -220,7 +190,7 @@ func TestWorkerIdleRetirement(t *testing.T) {
 // and invalid values are rejected.
 func TestWaitPolicyICV(t *testing.T) {
 	for _, l := range bothLayers {
-		r := NewWithEnv(l, poolEnv("on"))
+		r := NewWithEnv(l, fakeEnv(nil))
 		if got := r.GetWaitPolicy(); got != "passive" {
 			t.Errorf("%v: default wait policy %q, want passive", l, got)
 		}
@@ -251,9 +221,10 @@ func TestWaitPolicyICV(t *testing.T) {
 	}
 }
 
-// TestPoolDifferentialWorkload runs the same task-spawning workload
-// under both pool modes and both layers; results must agree — the
-// spawn-per-region path is the differential baseline for the pool.
+// TestPoolDifferentialWorkload runs the same task-spawning workload on
+// pooled workers and, after Shutdown, on spawned members, under both
+// layers; results must agree — the spawn path is what a region falls
+// back to when the pool is exhausted or shut down.
 func TestPoolDifferentialWorkload(t *testing.T) {
 	workload := func(r *Runtime) int64 {
 		var sum atomic.Int64
@@ -281,11 +252,11 @@ func TestPoolDifferentialWorkload(t *testing.T) {
 		}
 	}
 	for _, l := range bothLayers {
-		for _, mode := range []string{"on", "off"} {
-			r := NewWithEnv(l, poolEnv(mode))
+		r := NewWithEnv(l, fakeEnv(nil))
+		for _, members := range []string{"pooled", "spawned"} {
 			for rep := 0; rep < 3; rep++ {
 				if got := workload(r); got != want {
-					t.Errorf("%v pool=%s rep %d: sum = %d, want %d", l, mode, rep, got, want)
+					t.Errorf("%v %s rep %d: sum = %d, want %d", l, members, rep, got, want)
 				}
 			}
 			r.Shutdown()
@@ -293,11 +264,10 @@ func TestPoolDifferentialWorkload(t *testing.T) {
 	}
 }
 
-// TestTeamRecycling: in pool mode, repeated same-size regions reuse
-// cached teams; the cache stays bounded and holds only cleanly-joined
+// TestTeamRecycling: repeated same-size regions reuse cached teams; the cache stays bounded and holds only cleanly-joined
 // teams.
 func TestTeamRecycling(t *testing.T) {
-	r := NewWithEnv(LayerAtomic, poolEnv("on"))
+	r := NewWithEnv(LayerAtomic, fakeEnv(nil))
 	for i := 0; i < 3*maxCachedTeams; i++ {
 		if err := r.Parallel(r.NewContext(), ParallelOpts{NumThreads: 4}, func(c *Context) error {
 			return nil

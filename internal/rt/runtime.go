@@ -94,13 +94,11 @@ type Runtime struct {
 	taskSched schedMode
 
 	// pool holds the persistent worker goroutines Parallel dispatches
-	// region bodies to (pool.go); nil when OMP4GO_POOL=off selects the
-	// spawn-per-region baseline.
+	// region bodies to (pool.go).
 	pool *workerPool
 
 	// teamCache recycles Team objects (and with them the scheduler's
-	// per-thread deques) between same-size regions; pool mode only, so
-	// the spawn baseline keeps its allocate-per-region behaviour.
+	// per-thread deques) between same-size regions.
 	teamCacheMu sync.Mutex
 	teamCache   map[int][]*Team
 }
@@ -132,10 +130,8 @@ func NewWithEnv(layer Layer, getenv func(string) string) *Runtime {
 	if r.icv.profileMode != "off" {
 		r.prof.Store(prof.New())
 	}
-	if r.icv.poolMode != "off" {
-		r.pool = newWorkerPool(r)
-		r.teamCache = make(map[int][]*Team)
-	}
+	r.pool = newWorkerPool(r)
+	r.teamCache = make(map[int][]*Team)
 	if r.icv.displayEnv != "" {
 		r.icv.display(displayEnvOut)
 	}
@@ -176,10 +172,6 @@ func NewWithEnv(layer Layer, getenv func(string) string) *Runtime {
 // Layer reports the synchronization layer of this runtime.
 func (r *Runtime) Layer() Layer { return r.layer }
 
-// PoolEnabled reports whether Parallel dispatches to the persistent
-// worker pool (true unless OMP4GO_POOL=off).
-func (r *Runtime) PoolEnabled() bool { return r.pool != nil }
-
 // MetricsSnapshot returns a merged point-in-time view of the runtime's
 // always-on metrics.
 func (r *Runtime) MetricsSnapshot() *metrics.Snapshot { return r.metrics.Snapshot() }
@@ -207,27 +199,22 @@ func (r *Runtime) Shutdown() {
 	if srv != nil {
 		_ = srv.Close()
 	}
-	if r.pool != nil {
-		r.pool.shutdownAll()
-	}
+	r.pool.shutdownAll()
 }
 
 // takeTeam returns a recycled team of the given size or builds a new
-// one. Recycling is a pool-mode optimization: the spawn-per-region
-// baseline allocates fresh, as the seed runtime did.
+// one.
 func (r *Runtime) takeTeam(size int) *Team {
-	if r.pool != nil {
-		r.teamCacheMu.Lock()
-		if list := r.teamCache[size]; len(list) > 0 {
-			t := list[len(list)-1]
-			list[len(list)-1] = nil
-			r.teamCache[size] = list[:len(list)-1]
-			r.teamCacheMu.Unlock()
-			t.reset()
-			return t
-		}
+	r.teamCacheMu.Lock()
+	if list := r.teamCache[size]; len(list) > 0 {
+		t := list[len(list)-1]
+		list[len(list)-1] = nil
+		r.teamCache[size] = list[:len(list)-1]
 		r.teamCacheMu.Unlock()
+		t.reset()
+		return t
 	}
+	r.teamCacheMu.Unlock()
 	return newTeam(r, nil, size)
 }
 
@@ -235,7 +222,7 @@ func (r *Runtime) takeTeam(size int) *Team {
 // (or one with tasks unaccounted for) may hold abandoned tasks in its
 // deques and is left for the garbage collector instead.
 func (r *Runtime) putTeam(t *Team) {
-	if r.pool == nil || t.broken.Load() != 0 || t.outstanding.Load() != 0 {
+	if t.broken.Load() != 0 || t.outstanding.Load() != 0 {
 		return
 	}
 	r.teamCacheMu.Lock()
@@ -390,9 +377,9 @@ type Team struct {
 	// member attribution (profiler off, or an unlabeled serialized
 	// region — not worth two clock stamps on the 1T fast path).
 	profBucket *prof.Bucket
-	wg      sync.WaitGroup       // join group; reused after each Wait
-	panicMu sync.Mutex
-	panics  map[int]any // allocated on first member panic only
+	wg         sync.WaitGroup // join group; reused after each Wait
+	panicMu    sync.Mutex
+	panics     map[int]any // allocated on first member panic only
 
 	// regionID numbers the parallel region this team executes
 	// (observability subsystem).
@@ -594,12 +581,11 @@ func (r *Runtime) Parallel(ctx *Context, opts ParallelOpts, body func(*Context) 
 		team.profBucket = p.Bucket(opts.Label)
 	}
 
-	// Workers come from the persistent pool when enabled; the pool may
-	// come up short (cap reached, nested demand, shutdown), in which
-	// case the remaining members run on spawned goroutines exactly as
-	// in the OMP4GO_POOL=off baseline.
+	// Workers come from the persistent pool; it may come up short (cap
+	// reached, nested demand, shutdown), in which case the remaining
+	// members run on spawned goroutines.
 	var workers []*poolWorker
-	if r.pool != nil && n > 1 {
+	if n > 1 {
 		workers = r.pool.acquire(n - 1)
 	}
 
@@ -667,9 +653,7 @@ func (r *Runtime) Parallel(ctx *Context, opts ParallelOpts, body func(*Context) 
 	team.wg.Wait()
 	// Borrowed slots go back in one batch: cheaper than per-worker
 	// release locking, and still ordered before Parallel returns.
-	if r.pool != nil {
-		r.pool.releaseAll(workers)
-	}
+	r.pool.releaseAll(workers)
 	if obs != nil {
 		obs.unregister(team)
 	}

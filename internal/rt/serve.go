@@ -66,10 +66,7 @@ func (s *MetricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Gauges live outside the striped registry: they describe current
 	// state, not accumulated events.
-	idle, total := 0, 0
-	if s.rt.pool != nil {
-		idle, total = s.rt.pool.counts()
-	}
+	idle, total := s.rt.pool.counts()
 	fmt.Fprintf(w, "# HELP omp4go_pool_workers_idle Parked pool workers available for dispatch.\n")
 	fmt.Fprintf(w, "# TYPE omp4go_pool_workers_idle gauge\n")
 	fmt.Fprintf(w, "omp4go_pool_workers_idle %d\n", idle)
@@ -183,17 +180,14 @@ func (r *Runtime) DebugSnapshot() DebugSnapshot {
 			"wait_policy":       r.GetWaitPolicy(),
 			"schedule":          scheduleEnvString(r.GetSchedule()),
 			"task_sched":        r.taskSched.String(),
-			"pool":              r.PoolEnabled(),
 		},
 		Regions:  r.InflightRegions(),
 		Stalls:   r.StallReports(),
 		Counters: r.MetricsSnapshot().CounterMap(),
 		Profile:  r.ProfileSnapshot(),
 	}
-	if r.pool != nil {
-		idle, total := r.pool.counts()
-		d.Pool = &PoolDebug{Idle: idle, Live: total, Max: r.pool.max}
-	}
+	idle, total := r.pool.counts()
+	d.Pool = &PoolDebug{Idle: idle, Live: total, Max: r.pool.max}
 	if d.Regions == nil {
 		d.Regions = []RegionInfo{}
 	}

@@ -31,9 +31,6 @@ func waitPool(t *testing.T, r *Runtime, wantIdle, wantLive int) {
 // serving regions (spawn-per-region) afterwards.
 func TestShutdownUnderConcurrentRegions(t *testing.T) {
 	r := NewWithEnv(LayerAtomic, func(string) string { return "" })
-	if r.pool == nil {
-		t.Fatal("pool not enabled by default")
-	}
 
 	const drivers, regions, teamSize = 4, 25, 3
 	var total atomic.Int64

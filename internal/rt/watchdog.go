@@ -179,8 +179,10 @@ func (w *watchdog) sample() {
 			continue
 		}
 		w.reported[t.regionID] = sig
-		o.addStall(rep)
+		// Printed first: whoever sees the report in StallReports can
+		// rely on the text being out.
 		fmt.Fprintln(watchdogOut, rep.String())
+		o.addStall(rep)
 		// A stall is exactly what the flight recorder exists for:
 		// flush the recent-event ring and introspection history to a
 		// post-mortem dump (deduped with the report itself — only a

@@ -529,8 +529,8 @@ func (s *Single) End() (any, error) {
 				// returning without leaveRegion would leak the entry
 				// in the team's regionTable.
 				c.leaveRegion(s.region, s.regIdx)
-				return nil, &MisuseError{Construct: "single",
-					Msg: "copyprivate value was never published (team broken)"}
+				return nil, &brokenAbort{MisuseError{Construct: "single",
+					Msg: "copyprivate value was never published (team broken)"}}
 			}
 		}
 		s.region.cpMu.Lock()

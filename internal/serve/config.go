@@ -14,16 +14,18 @@
 package serve
 
 import (
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/omp4go/omp4go/internal/rt"
 )
 
 // Env variable names understood by FromEnv. OMP_DISPLAY_ENV=verbose
-// lists the same names (internal/rt/icv.go), so a misconfigured
-// deployment can see what the runtime parsed.
+// lists the same names, so a misconfigured deployment can see what the
+// runtime parsed: FromEnv reads them through rt.ListedEnv, which
+// refuses a name the runtime's table (internal/rt/icv.go) lacks.
 const (
 	EnvAddr         = "OMP4GO_SERVE_ADDR"
 	EnvMaxBodyBytes = "OMP4GO_SERVE_MAX_BODY_BYTES"
@@ -186,9 +188,7 @@ func (c *Config) quotaFor(tenant string) Quota {
 // environment never fails service construction, matching how the
 // runtime treats bad OMP_* values).
 func FromEnv(getenv func(string) string) Config {
-	if getenv == nil {
-		getenv = os.Getenv
-	}
+	getenv = rt.ListedEnv(getenv)
 	var c Config
 	c.Addr = strings.TrimSpace(getenv(EnvAddr))
 	c.MaxBodyBytes = envInt64(getenv, EnvMaxBodyBytes)

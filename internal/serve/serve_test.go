@@ -238,18 +238,24 @@ func TestQuotaKill(t *testing.T) {
 }
 
 // TestRuntimeErrorPosition: an uncaught MiniPy exception carries its
-// type and position.
+// type and position, whether an operator raised it or a builtin did (a
+// builtin has no position of its own; the call site supplies it).
 func TestRuntimeErrorPosition(t *testing.T) {
 	s := startServer(t, Config{})
-	st, rr, apiErr := postRun(t, s, "errs", RunRequest{Source: "a = 1\nb = a // 0\n", File: "oops.py"})
-	if st != http.StatusOK || rr.OK || apiErr == nil {
-		t.Fatalf("status %d resp %+v, want runtime error in response", st, rr)
-	}
-	if apiErr.Code != CodeRuntimeError || apiErr.ExcType != "ZeroDivisionError" {
-		t.Errorf("error = %+v, want runtime_error/ZeroDivisionError", apiErr)
-	}
-	if apiErr.Pos == nil || apiErr.Pos.Line != 2 || apiErr.Pos.File != "oops.py" {
-		t.Errorf("pos = %+v, want oops.py line 2", apiErr.Pos)
+	for _, tc := range []struct{ source, excType string }{
+		{"a = 1\nb = a // 0\n", "ZeroDivisionError"},
+		{"import math\nb = math.sqrt(-1.0)\n", "ValueError"},
+	} {
+		st, rr, apiErr := postRun(t, s, "errs", RunRequest{Source: tc.source, File: "oops.py"})
+		if st != http.StatusOK || rr.OK || apiErr == nil {
+			t.Fatalf("status %d resp %+v, want runtime error in response", st, rr)
+		}
+		if apiErr.Code != CodeRuntimeError || apiErr.ExcType != tc.excType {
+			t.Errorf("error = %+v, want runtime_error/%s", apiErr, tc.excType)
+		}
+		if apiErr.Pos == nil || apiErr.Pos.Line != 2 || apiErr.Pos.File != "oops.py" {
+			t.Errorf("%s: pos = %+v, want oops.py line 2", tc.excType, apiErr.Pos)
+		}
 	}
 }
 

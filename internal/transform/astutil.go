@@ -2,334 +2,74 @@ package transform
 
 import "github.com/omp4go/omp4go/internal/minipy"
 
-// renameInStmts rewrites Name nodes per the renames map, in place.
-// It does not descend into nested FuncDef/Lambda bodies whose
-// parameters rebind a renamed name (shadowing).
+// renameInStmts rewrites Name nodes (and the names of nonlocal/global
+// declarations) per the renames map, in place. In the body of a nested
+// FuncDef/Lambda it leaves alone the names that function's parameters
+// rebind (shadowing); the function's decorators and parameter defaults
+// are not rewritten.
 func renameInStmts(body []minipy.Stmt, renames map[string]string) {
 	for _, s := range body {
-		renameInStmt(s, renames)
+		renameIn(s, renames)
 	}
 }
 
-func renameInStmt(s minipy.Stmt, renames map[string]string) {
-	switch t := s.(type) {
-	case *minipy.ExprStmt:
-		renameInExpr(t.X, renames)
-	case *minipy.Assign:
-		for _, tgt := range t.Targets {
-			renameInExpr(tgt, renames)
-		}
-		renameInExpr(t.Value, renames)
-	case *minipy.AugAssign:
-		renameInExpr(t.Target, renames)
-		renameInExpr(t.Value, renames)
-	case *minipy.AnnAssign:
-		renameInExpr(t.Target, renames)
-		if t.Value != nil {
-			renameInExpr(t.Value, renames)
-		}
-	case *minipy.Return:
-		if t.Value != nil {
-			renameInExpr(t.Value, renames)
-		}
-	case *minipy.If:
-		renameInExpr(t.Cond, renames)
-		renameInStmts(t.Body, renames)
-		renameInStmts(t.Else, renames)
-	case *minipy.While:
-		renameInExpr(t.Cond, renames)
-		renameInStmts(t.Body, renames)
-	case *minipy.For:
-		renameInExpr(t.Target, renames)
-		renameInExpr(t.Iter, renames)
-		renameInStmts(t.Body, renames)
-	case *minipy.With:
-		for i := range t.Items {
-			renameInExpr(t.Items[i].Context, renames)
-			if t.Items[i].Vars != nil {
-				renameInExpr(t.Items[i].Vars, renames)
-			}
-		}
-		renameInStmts(t.Body, renames)
-	case *minipy.Try:
-		renameInStmts(t.Body, renames)
-		for i := range t.Handlers {
-			if t.Handlers[i].Type != nil {
-				renameInExpr(t.Handlers[i].Type, renames)
-			}
-			renameInStmts(t.Handlers[i].Body, renames)
-		}
-		renameInStmts(t.Final, renames)
-	case *minipy.Raise:
-		if t.Exc != nil {
-			renameInExpr(t.Exc, renames)
-		}
-	case *minipy.Assert:
-		renameInExpr(t.Test, renames)
-		if t.Msg != nil {
-			renameInExpr(t.Msg, renames)
-		}
-	case *minipy.Del:
-		for _, tgt := range t.Targets {
-			renameInExpr(tgt, renames)
-		}
-	case *minipy.FuncDef:
-		sub := shadowed(renames, paramNames(t.Params))
-		if len(sub) > 0 {
-			renameInStmts(t.Body, sub)
-		}
-	case *minipy.Nonlocal:
-		for i, n := range t.Names {
-			if nn, ok := renames[n]; ok {
-				t.Names[i] = nn
-			}
-		}
-	case *minipy.Global:
-		for i, n := range t.Names {
-			if nn, ok := renames[n]; ok {
-				t.Names[i] = nn
+func renameIn(root minipy.Node, renames map[string]string) {
+	renameIDs := func(ids []string) {
+		for i, id := range ids {
+			if nn, ok := renames[id]; ok {
+				ids[i] = nn
 			}
 		}
 	}
-}
-
-func renameInExpr(e minipy.Expr, renames map[string]string) {
-	switch t := e.(type) {
-	case *minipy.Name:
-		if nn, ok := renames[t.ID]; ok {
-			t.ID = nn
+	minipy.Inspect(root, func(n minipy.Node) bool {
+		switch t := n.(type) {
+		case *minipy.Name:
+			if nn, ok := renames[t.ID]; ok {
+				t.ID = nn
+			}
+		case *minipy.Nonlocal:
+			renameIDs(t.Names)
+		case *minipy.Global:
+			renameIDs(t.Names)
+		case *minipy.AnnAssign:
+			// The annotation names a type, not a variable.
+			renameIn(t.Target, renames)
+			renameIn(t.Value, renames)
+			return false
+		case *minipy.FuncDef:
+			if sub := shadowed(renames, t.Params); len(sub) > 0 {
+				renameInStmts(t.Body, sub)
+			}
+			return false
+		case *minipy.Lambda:
+			if sub := shadowed(renames, t.Params); len(sub) > 0 {
+				renameIn(t.Body, sub)
+			}
+			return false
 		}
-	case *minipy.BinOp:
-		renameInExpr(t.L, renames)
-		renameInExpr(t.R, renames)
-	case *minipy.BoolOp:
-		for _, v := range t.Values {
-			renameInExpr(v, renames)
-		}
-	case *minipy.UnaryOp:
-		renameInExpr(t.X, renames)
-	case *minipy.Compare:
-		renameInExpr(t.L, renames)
-		for _, r := range t.Rights {
-			renameInExpr(r, renames)
-		}
-	case *minipy.Call:
-		renameInExpr(t.Fn, renames)
-		for _, a := range t.Args {
-			renameInExpr(a, renames)
-		}
-		for i := range t.Keywords {
-			renameInExpr(t.Keywords[i].Value, renames)
-		}
-	case *minipy.Attribute:
-		renameInExpr(t.X, renames)
-	case *minipy.Index:
-		renameInExpr(t.X, renames)
-		renameInExpr(t.I, renames)
-	case *minipy.SliceExpr:
-		renameInExpr(t.X, renames)
-		if t.Lo != nil {
-			renameInExpr(t.Lo, renames)
-		}
-		if t.Hi != nil {
-			renameInExpr(t.Hi, renames)
-		}
-		if t.Step != nil {
-			renameInExpr(t.Step, renames)
-		}
-	case *minipy.ListLit:
-		for _, el := range t.Elts {
-			renameInExpr(el, renames)
-		}
-	case *minipy.TupleLit:
-		for _, el := range t.Elts {
-			renameInExpr(el, renames)
-		}
-	case *minipy.DictLit:
-		for i := range t.Keys {
-			renameInExpr(t.Keys[i], renames)
-			renameInExpr(t.Vals[i], renames)
-		}
-	case *minipy.SetLit:
-		for _, el := range t.Elts {
-			renameInExpr(el, renames)
-		}
-	case *minipy.IfExp:
-		renameInExpr(t.Cond, renames)
-		renameInExpr(t.Then, renames)
-		renameInExpr(t.Else, renames)
-	case *minipy.Lambda:
-		sub := shadowed(renames, paramNames(t.Params))
-		if len(sub) > 0 {
-			renameInExpr(t.Body, sub)
-		}
-	}
-}
-
-func paramNames(params []minipy.Param) map[string]bool {
-	out := make(map[string]bool, len(params))
-	for _, p := range params {
-		out[p.Name] = true
-	}
-	return out
+		return true
+	})
 }
 
 // shadowed removes renames whose names are rebound by params.
-func shadowed(renames map[string]string, bound map[string]bool) map[string]string {
+func shadowed(renames map[string]string, params []minipy.Param) map[string]string {
 	out := make(map[string]string, len(renames))
 	for k, v := range renames {
-		if !bound[k] {
-			out[k] = v
-		}
+		out[k] = v
+	}
+	for _, p := range params {
+		delete(out, p.Name)
 	}
 	return out
 }
 
-// collectNames gathers every identifier referenced (read or written)
-// in the statements, excluding nested function bodies' shadowed
-// names. Used by default(none) checking and default(private).
+// collectNames gathers every identifier mentioned in the statements,
+// nested function bodies included. Used by default(none) checking and
+// default(private).
 func collectNames(body []minipy.Stmt) map[string]bool {
 	out := make(map[string]bool)
-	var walkS func(minipy.Stmt)
-	var walkE func(minipy.Expr)
-	walkE = func(e minipy.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *minipy.Name:
-			out[t.ID] = true
-		case *minipy.BinOp:
-			walkE(t.L)
-			walkE(t.R)
-		case *minipy.BoolOp:
-			for _, v := range t.Values {
-				walkE(v)
-			}
-		case *minipy.UnaryOp:
-			walkE(t.X)
-		case *minipy.Compare:
-			walkE(t.L)
-			for _, r := range t.Rights {
-				walkE(r)
-			}
-		case *minipy.Call:
-			walkE(t.Fn)
-			for _, a := range t.Args {
-				walkE(a)
-			}
-			for i := range t.Keywords {
-				walkE(t.Keywords[i].Value)
-			}
-		case *minipy.Attribute:
-			walkE(t.X)
-		case *minipy.Index:
-			walkE(t.X)
-			walkE(t.I)
-		case *minipy.SliceExpr:
-			walkE(t.X)
-			walkE(t.Lo)
-			walkE(t.Hi)
-			walkE(t.Step)
-		case *minipy.ListLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.TupleLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.DictLit:
-			for i := range t.Keys {
-				walkE(t.Keys[i])
-				walkE(t.Vals[i])
-			}
-		case *minipy.SetLit:
-			for _, el := range t.Elts {
-				walkE(el)
-			}
-		case *minipy.IfExp:
-			walkE(t.Cond)
-			walkE(t.Then)
-			walkE(t.Else)
-		case *minipy.Lambda:
-			walkE(t.Body)
-		}
-	}
-	walkS = func(s minipy.Stmt) {
-		switch t := s.(type) {
-		case *minipy.ExprStmt:
-			walkE(t.X)
-		case *minipy.Assign:
-			for _, tgt := range t.Targets {
-				walkE(tgt)
-			}
-			walkE(t.Value)
-		case *minipy.AugAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.AnnAssign:
-			walkE(t.Target)
-			walkE(t.Value)
-		case *minipy.Return:
-			walkE(t.Value)
-		case *minipy.If:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, b := range t.Else {
-				walkS(b)
-			}
-		case *minipy.While:
-			walkE(t.Cond)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.For:
-			walkE(t.Target)
-			walkE(t.Iter)
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.With:
-			for _, it := range t.Items {
-				walkE(it.Context)
-				walkE(it.Vars)
-			}
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		case *minipy.Try:
-			for _, b := range t.Body {
-				walkS(b)
-			}
-			for _, h := range t.Handlers {
-				walkE(h.Type)
-				for _, b := range h.Body {
-					walkS(b)
-				}
-			}
-			for _, b := range t.Final {
-				walkS(b)
-			}
-		case *minipy.Raise:
-			walkE(t.Exc)
-		case *minipy.Assert:
-			walkE(t.Test)
-			walkE(t.Msg)
-		case *minipy.Del:
-			for _, tgt := range t.Targets {
-				walkE(tgt)
-			}
-		case *minipy.FuncDef:
-			for _, b := range t.Body {
-				walkS(b)
-			}
-		}
-	}
 	for _, s := range body {
-		walkS(s)
+		minipy.Names(s, out)
 	}
 	return out
 }

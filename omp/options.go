@@ -102,15 +102,6 @@ func WithSched(s Schedule) Option {
 	}
 }
 
-// WithSchedule is the schedule clause from separate kind and chunk
-// arguments.
-//
-// Deprecated: use WithSched with a Schedule constructor, e.g.
-// WithSched(Dynamic(64)).
-func WithSchedule(kind ScheduleKind, chunk int) Option {
-	return WithSched(Schedule{Kind: kind, Chunk: chunk})
-}
-
 // WithNoWait is the nowait clause: the worksharing construct skips
 // its implicit barrier.
 func WithNoWait() Option {

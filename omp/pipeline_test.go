@@ -2,8 +2,11 @@ package omp
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"github.com/omp4go/omp4go/internal/interp"
 )
 
 const piProgram = `
@@ -179,5 +182,38 @@ def fast(n: int) -> int:
 	}
 	if v != int64(499500) {
 		t.Fatalf("fast(1000) = %v", v)
+	}
+}
+
+// An exception raised inside a builtin carries the position of the call
+// that raised it, the same one in every mode: the builtin itself has no
+// source position, so the call site stamps it (interp.Thread.CallKw).
+func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
+	cases := []struct {
+		name, call, excType string
+		col                 int
+	}{
+		// A call's position is its opening parenthesis.
+		{"math.sqrt", "math.sqrt(x - 2.0)", "ValueError", 18},
+		{"int", `int("zz")`, "ValueError", 12},
+		{"len", "len(n)", "TypeError", 12},
+	}
+	for _, tc := range cases {
+		src := "import math\n\ndef f(n: int, x: float):\n    pad = 0\n    v = " + tc.call + "\n    return v\n"
+		for _, mode := range []Mode{ModePure, ModeHybrid, ModeCompiled, ModeCompiledDT} {
+			p, err := Load(src, "pos.py", mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, mode, err)
+			}
+			_, err = p.Call("f", 5, 1.0)
+			var pe *interp.PyError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s %v: error %v is not a PyError", tc.name, mode, err)
+			}
+			if pe.Type != tc.excType || pe.Pos.Line != 5 || pe.Pos.Col+1 != tc.col {
+				t.Errorf("%s %v: %s at line %d col %d, want %s at line 5 col %d (%v)",
+					tc.name, mode, pe.Type, pe.Pos.Line, pe.Pos.Col+1, tc.excType, tc.col, err)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package omp
 
 import (
-	"os"
 	"time"
 
 	"github.com/omp4go/omp4go/internal/rt"
@@ -24,8 +23,6 @@ type RuntimeOption func(*runtimeConfig)
 
 type runtimeConfig struct {
 	waitPolicy string
-	poolSet    bool
-	poolOn     bool
 	numThreads int
 	watchdog   time.Duration
 }
@@ -35,13 +32,6 @@ type runtimeConfig struct {
 // Invalid values are ignored, as they are in the environment.
 func WithWaitPolicy(policy string) RuntimeOption {
 	return func(c *runtimeConfig) { c.waitPolicy = policy }
-}
-
-// WithPool enables or disables the persistent worker pool for the new
-// runtime, overriding OMP4GO_POOL. Disabled, every parallel region
-// spawns fresh goroutines (the differential baseline).
-func WithPool(enabled bool) RuntimeOption {
-	return func(c *runtimeConfig) { c.poolSet, c.poolOn = true, enabled }
 }
 
 // WithDefaultNumThreads sets the nthreads ICV of the new runtime, as
@@ -66,20 +56,7 @@ func NewRuntime(opts ...RuntimeOption) *Instance {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	getenv := os.Getenv
-	if cfg.poolSet {
-		pool := "off"
-		if cfg.poolOn {
-			pool = "on"
-		}
-		getenv = func(k string) string {
-			if k == "OMP4GO_POOL" {
-				return pool
-			}
-			return os.Getenv(k)
-		}
-	}
-	inner := rt.NewWithEnv(rt.LayerAtomic, getenv)
+	inner := rt.New(rt.LayerAtomic)
 	if cfg.waitPolicy != "" {
 		// Mirror the environment's tolerance: a bad value keeps the
 		// default instead of failing construction.
@@ -118,7 +95,3 @@ func (r *Instance) SetWaitPolicy(policy string) error { return r.rt.SetWaitPolic
 
 // GetWaitPolicy returns the wait-policy ICV.
 func (r *Instance) GetWaitPolicy() string { return r.rt.GetWaitPolicy() }
-
-// PoolEnabled reports whether parallel regions dispatch to the
-// persistent worker pool.
-func (r *Instance) PoolEnabled() bool { return r.rt.PoolEnabled() }

@@ -7,16 +7,13 @@ import (
 )
 
 // TestNewRuntimeInstance covers the constructed-runtime surface:
-// option application, pool toggling, and independence from the
-// process-wide default runtime.
+// option application and independence from the process-wide default
+// runtime.
 func TestNewRuntimeInstance(t *testing.T) {
 	r := NewRuntime(WithWaitPolicy("active"), WithDefaultNumThreads(3))
 	defer r.Close()
 	if got := r.GetWaitPolicy(); got != "active" {
 		t.Errorf("wait policy = %q, want active", got)
-	}
-	if !r.PoolEnabled() {
-		t.Error("pool disabled by default on a constructed runtime")
 	}
 	var ran atomic.Int32
 	if err := r.Parallel(func(tc *TC) { ran.Add(1) }); err != nil {
@@ -24,15 +21,6 @@ func TestNewRuntimeInstance(t *testing.T) {
 	}
 	if ran.Load() != 3 {
 		t.Errorf("default team ran %d threads, want 3", ran.Load())
-	}
-
-	spawn := NewRuntime(WithPool(false))
-	defer spawn.Close()
-	if spawn.PoolEnabled() {
-		t.Error("WithPool(false) runtime still reports pool enabled")
-	}
-	if err := spawn.Parallel(func(tc *TC) {}, WithNumThreads(2)); err != nil {
-		t.Fatal(err)
 	}
 
 	// The default runtime's ICVs are untouched by instance options.

@@ -30,10 +30,7 @@ func pollCounts(t *testing.T, r *Instance, wantIdle, wantLive int) {
 // completes its work, the pooled workers all retire (no leak), and the
 // instance remains usable afterwards via spawned goroutines.
 func TestInstanceCloseDuringParallelRegions(t *testing.T) {
-	r := NewRuntime(WithPool(true), WithDefaultNumThreads(4))
-	if !r.PoolEnabled() {
-		t.Fatal("pool not enabled")
-	}
+	r := NewRuntime(WithDefaultNumThreads(4))
 
 	const drivers, regionsPerDriver, iters = 4, 20, 2000
 	var total atomic.Int64
@@ -90,7 +87,7 @@ func TestInstanceCloseDuringParallelRegions(t *testing.T) {
 // in-flight regions; Close is idempotent and never wedges a region.
 func TestInstanceCloseRaces(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		r := NewRuntime(WithPool(true), WithDefaultNumThreads(2))
+		r := NewRuntime(WithDefaultNumThreads(2))
 		var wg sync.WaitGroup
 		for d := 0; d < 3; d++ {
 			wg.Add(1)
