@@ -40,7 +40,9 @@ endef
 # four-executor operator test; internal/bench the benchmark-level
 # kernels-on/off/interp matrix and the halo differential, which
 # re-executes the race-built test binary as real rank processes;
-# internal/mpi the matching, coalescing and single-puller receive path.
+# internal/mpi the matching, coalescing and single-puller receive path;
+# internal/interp the runtime ABI table against the __omp module and
+# the lowered programs, and the fuzz seed corpus of Go callables.
 RACE_TABLE = \
   './internal/rt/...:.:180s' \
   './internal/ompt/...:.:120s' \
@@ -48,6 +50,7 @@ RACE_TABLE = \
   './omp/...:.:180s' \
   './internal/compile/:TestKernel|TestIR|TestDeclarationTrust|TestPaperLoopsRunAsIR|TestTextbookLoopsRunAsIR|TestTypedParamChecked|TestNumericOperatorTable:300s' \
   './internal/minipy/:TestInspect:60s' \
+  './internal/interp/:TestABI|FuzzCallBuiltin:120s' \
   './internal/bench/:TestKernelDifferentialMatrix|TestHalo|TestHybrid:300s' \
   './internal/mpi/:.:300s'
 
@@ -87,11 +90,13 @@ mpi-smoke:
 	echo "mpi-smoke: 2-rank TCP halo jacobi ok, coalescing active"
 
 # verify is the CI gate: static checks, the tier-1 tests, the smoke and
-# race tables, the real-binary MPI smoke, and a single-iteration run of
-# the region-overhead benchmark so a dispatch regression fails loudly.
+# race tables, the real-binary MPI smoke, a single-iteration run of the
+# region-overhead benchmark so a dispatch regression fails loudly, and
+# a bounded fuzz of every Go-implemented callable MiniPy can reach.
 verify: vet smoke race mpi-smoke
 	$(GO) test ./...
 	$(GO) test -run=NONE -bench=BenchmarkRegionOverhead -benchtime=1x -timeout 120s ./internal/rt/
+	$(GO) test -run=NONE -fuzz=FuzzCallBuiltin -fuzztime=15s ./internal/interp/
 
 # loc prints the non-test .go lines of every package of this module
 # (benchmark/ is its own module and is not counted).

@@ -169,62 +169,54 @@ func runHybridRank(cfg HybridConfig, c *mpi.Comm) (float64, error) {
 // they are marked GIL-releasing.
 func mpiModule(c *mpi.Comm) *interp.Module {
 	pos := minipy.Position{}
-	m := &interp.Module{Name: "mpi4py", Attrs: map[string]interp.Value{}}
-	reg := func(name string, releases bool, fn func(th *interp.Thread, args []interp.Value) (interp.Value, error)) {
-		m.Attrs[name] = &interp.Builtin{Name: name, Fn: fn, ReleasesGIL: releases}
-	}
-	reg("rank", false, func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
-		return int64(c.Rank()), nil
-	})
-	reg("size", false, func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
-		return int64(c.Size()), nil
-	})
-	reg("barrier", true, func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
-		if err := c.Barrier(); err != nil {
-			return nil, interp.NewPyError("RuntimeError", err.Error(), pos)
-		}
-		return nil, nil
-	})
-	reg("allreduce", true, func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
-		if len(args) != 1 {
-			return nil, interp.NewPyError("TypeError", "allreduce(value)", pos)
-		}
-		f, ok := interp.AsFloat(args[0])
-		if !ok {
-			return nil, interp.NewPyError("TypeError", "allreduce value must be a number", pos)
-		}
-		res, err := c.Allreduce(f, mpi.OpSum)
-		if err != nil {
-			return nil, interp.NewPyError("RuntimeError", err.Error(), pos)
-		}
-		return res, nil
-	})
-	reg("allgather", true, func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
-		if len(args) != 1 {
-			return nil, interp.NewPyError("TypeError", "allgather(list)", pos)
-		}
-		l, ok := args[0].(*interp.List)
-		if !ok {
-			return nil, interp.NewPyError("TypeError", "allgather argument must be a list", pos)
-		}
-		var local []float64
-		if fs, isF := l.FloatData(); isF {
-			local = fs
-		} else {
-			local = make([]float64, l.Len())
-			for i := range local {
-				f, ok := interp.AsFloat(l.Get(i))
-				if !ok {
-					return nil, interp.NewPyError("TypeError", "allgather list must hold numbers", pos)
-				}
-				local[i] = f
+	mpiErr := func(err error) error { return interp.NewPyError("RuntimeError", err.Error(), pos) }
+	return interp.NewModule("mpi4py",
+		&interp.Builtin{Name: "rank", Sig: interp.Args(0, 0), Fn: func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
+			return int64(c.Rank()), nil
+		}},
+		&interp.Builtin{Name: "size", Sig: interp.Args(0, 0), Fn: func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
+			return int64(c.Size()), nil
+		}},
+		&interp.Builtin{Name: "barrier", Sig: interp.Args(0, 0), ReleasesGIL: true, Fn: func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
+			if err := c.Barrier(); err != nil {
+				return nil, mpiErr(err)
 			}
-		}
-		all, err := c.Allgather(local)
-		if err != nil {
-			return nil, interp.NewPyError("RuntimeError", err.Error(), pos)
-		}
-		return interp.AdoptFloats(all), nil
-	})
-	return m
+			return nil, nil
+		}},
+		&interp.Builtin{Name: "allreduce", Sig: interp.Args(1, 1), ReleasesGIL: true, Fn: func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
+			f, ok := interp.AsFloat(args[0])
+			if !ok {
+				return nil, interp.NewPyError("TypeError", "allreduce value must be a number", pos)
+			}
+			res, err := c.Allreduce(f, mpi.OpSum)
+			if err != nil {
+				return nil, mpiErr(err)
+			}
+			return res, nil
+		}},
+		&interp.Builtin{Name: "allgather", Sig: interp.Args(1, 1), ReleasesGIL: true, Fn: func(th *interp.Thread, args []interp.Value) (interp.Value, error) {
+			l, ok := args[0].(*interp.List)
+			if !ok {
+				return nil, interp.NewPyError("TypeError", "allgather argument must be a list", pos)
+			}
+			var local []float64
+			if fs, isF := l.FloatData(); isF {
+				local = fs
+			} else {
+				local = make([]float64, l.Len())
+				for i := range local {
+					f, ok := interp.AsFloat(l.Get(i))
+					if !ok {
+						return nil, interp.NewPyError("TypeError", "allgather list must hold numbers", pos)
+					}
+					local[i] = f
+				}
+			}
+			all, err := c.Allgather(local)
+			if err != nil {
+				return nil, mpiErr(err)
+			}
+			return interp.AdoptFloats(all), nil
+		}},
+	)
 }

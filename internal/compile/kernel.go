@@ -4,6 +4,7 @@ import (
 	"github.com/omp4go/omp4go/internal/directive"
 	"github.com/omp4go/omp4go/internal/interp"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/ompabi"
 	"github.com/omp4go/omp4go/internal/rt"
 )
 
@@ -74,26 +75,12 @@ func (lf *loopForm) enter(fr *Frame) (stmtFn, error) {
 	return lf.slow()
 }
 
-// ompCallTo matches e as a call to the generated-code runtime entry
-// point __omp.fn. The __omp binding must resolve to the module global
-// the interpreter predefines — a shadowed __omp is not the runtime.
-func ompCallTo(sc *scopeCtx, e minipy.Expr, fn string) (*minipy.Call, bool) {
-	call, ok := e.(*minipy.Call)
-	if !ok {
-		return nil, false
-	}
-	attr, ok := call.Fn.(*minipy.Attribute)
-	if !ok || attr.Name != fn {
-		return nil, false
-	}
-	base, ok := attr.X.(*minipy.Name)
-	if !ok || base.ID != "__omp" {
-		return nil, false
-	}
-	if sc.resolve("__omp").kind != refGlobal {
-		return nil, false
-	}
-	return call, true
+// ompCallTo matches x as a call to the runtime entry want. The __omp
+// binding must resolve to the module global the interpreter predefines
+// — a shadowed __omp is not the runtime.
+func ompCallTo(sc *scopeCtx, x minipy.Expr, want ompabi.Entry) (*minipy.Call, bool) {
+	e, call, ok := ompabi.Match(x)
+	return call, ok && e == want && sc.resolve(ompabi.Module).kind == refGlobal
 }
 
 // boundsIndex matches e as bVar[k].
@@ -133,7 +120,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 	if !ok {
 		return nil, 0, nil
 	}
-	boundsCall, ok := ompCallTo(sc, as.Value, "for_bounds")
+	boundsCall, ok := ompCallTo(sc, as.Value, ompabi.ForBounds)
 	if !ok || len(boundsCall.Args) != 3 {
 		return nil, 0, nil
 	}
@@ -144,7 +131,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 	if !ok {
 		return nil, 0, nil
 	}
-	initCall, ok := ompCallTo(sc, initStmt.X, "for_init")
+	initCall, ok := ompCallTo(sc, initStmt.X, ompabi.ForInit)
 	if !ok || len(initCall.Args) != 5 {
 		return nil, 0, nil
 	}
@@ -181,7 +168,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 	if !ok || len(wh.Body) != 1 {
 		return nil, 0, nil
 	}
-	nextCall, ok := ompCallTo(sc, wh.Cond, "for_next")
+	nextCall, ok := ompCallTo(sc, wh.Cond, ompabi.ForNext)
 	if !ok || len(nextCall.Args) != 1 {
 		return nil, 0, nil
 	}
@@ -219,7 +206,7 @@ func (c *compiler) tryCompileKernel(sc *scopeCtx, body []minipy.Stmt, k int) (st
 	foundEnd, rest := false, map[string]bool{}
 	for _, s := range body[k+3:] {
 		if es, ok := s.(*minipy.ExprStmt); ok {
-			if endCall, ok := ompCallTo(sc, es.X, "for_end"); ok && len(endCall.Args) == 1 {
+			if endCall, ok := ompCallTo(sc, es.X, ompabi.ForEnd); ok && len(endCall.Args) == 1 {
 				if n, ok := endCall.Args[0].(*minipy.Name); ok && n.ID == bName.ID {
 					foundEnd = true
 					continue

@@ -9,16 +9,15 @@ import (
 )
 
 func (in *Interp) installBuiltins() {
-	reg := func(name string, fn func(th *Thread, args []Value) (Value, error)) {
-		in.globals.DefineValue(name, &Builtin{Name: name, Fn: fn})
+	reg := func(name string, sig Sig, fn func(th *Thread, args []Value) (Value, error)) {
+		in.globals.DefineValue(name, &Builtin{Name: name, Sig: sig, Fn: fn})
 	}
-	regKw := func(name string,
-		fn func(th *Thread, args []Value) (Value, error),
+	regKw := func(name string, sig Sig,
 		fnKw func(th *Thread, args []Value, kwargs map[string]Value) (Value, error)) {
-		in.globals.DefineValue(name, &Builtin{Name: name, Fn: fn, FnKw: fnKw})
+		in.globals.DefineValue(name, &Builtin{Name: name, Sig: sig, FnKw: fnKw})
 	}
 
-	reg("range", func(th *Thread, args []Value) (Value, error) {
+	reg("range", Args(1, 3), func(th *Thread, args []Value) (Value, error) {
 		var start, stop, step int64 = 0, 0, 1
 		switch len(args) {
 		case 1:
@@ -27,7 +26,7 @@ func (in *Interp) installBuiltins() {
 				return nil, typeErrorf(minipy.Position{}, "range() argument must be int")
 			}
 			stop = v
-		case 2, 3:
+		default:
 			v0, ok0 := asInt(args[0])
 			v1, ok1 := asInt(args[1])
 			if !ok0 || !ok1 {
@@ -44,16 +43,11 @@ func (in *Interp) installBuiltins() {
 				}
 				step = v2
 			}
-		default:
-			return nil, typeErrorf(minipy.Position{}, "range expected 1 to 3 arguments, got %d", len(args))
 		}
 		return &Range{Start: start, Stop: stop, Step: step}, nil
 	})
 
-	reg("len", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "len() takes exactly one argument")
-		}
+	reg("len", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		switch c := args[0].(type) {
 		case *List:
 			return int64(c.Len()), nil
@@ -71,16 +65,9 @@ func (in *Interp) installBuiltins() {
 		return nil, typeErrorf(minipy.Position{}, "object of type '%s' has no len()", TypeName(args[0]))
 	})
 
-	regKw("print",
-		func(th *Thread, args []Value) (Value, error) {
-			return printImpl(th, args, nil)
-		},
-		printImpl)
+	regKw("print", Args(0, -1), printImpl)
 
-	reg("abs", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "abs() takes exactly one argument")
-		}
+	reg("abs", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		switch v := args[0].(type) {
 		case int64:
 			if v < 0 {
@@ -96,13 +83,10 @@ func (in *Interp) installBuiltins() {
 		return nil, typeErrorf(minipy.Position{}, "bad operand type for abs(): '%s'", TypeName(args[0]))
 	})
 
-	reg("min", func(th *Thread, args []Value) (Value, error) { return minMax(th, args, true) })
-	reg("max", func(th *Thread, args []Value) (Value, error) { return minMax(th, args, false) })
+	reg("min", Args(1, -1), func(th *Thread, args []Value) (Value, error) { return minMax(th, args, true) })
+	reg("max", Args(1, -1), func(th *Thread, args []Value) (Value, error) { return minMax(th, args, false) })
 
-	reg("sum", func(th *Thread, args []Value) (Value, error) {
-		if len(args) < 1 || len(args) > 2 {
-			return nil, typeErrorf(minipy.Position{}, "sum() takes 1 or 2 arguments")
-		}
+	reg("sum", Args(1, 2), func(th *Thread, args []Value) (Value, error) {
 		var acc Value = int64(0)
 		if len(args) == 2 {
 			acc = args[1]
@@ -120,7 +104,7 @@ func (in *Interp) installBuiltins() {
 		return acc, nil
 	})
 
-	reg("int", func(th *Thread, args []Value) (Value, error) {
+	reg("int", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return int64(0), nil
 		}
@@ -158,7 +142,7 @@ func (in *Interp) installBuiltins() {
 		return nil, typeErrorf(minipy.Position{}, "int() argument must be a number or string")
 	})
 
-	reg("float", func(th *Thread, args []Value) (Value, error) {
+	reg("float", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return float64(0), nil
 		}
@@ -177,28 +161,25 @@ func (in *Interp) installBuiltins() {
 		return nil, typeErrorf(minipy.Position{}, "float() argument must be a number or string")
 	})
 
-	reg("str", func(th *Thread, args []Value) (Value, error) {
+	reg("str", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return "", nil
 		}
 		return Str(args[0]), nil
 	})
 
-	reg("repr", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "repr() takes exactly one argument")
-		}
+	reg("repr", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		return Repr(args[0]), nil
 	})
 
-	reg("bool", func(th *Thread, args []Value) (Value, error) {
+	reg("bool", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return false, nil
 		}
 		return Truthy(args[0]), nil
 	})
 
-	reg("list", func(th *Thread, args []Value) (Value, error) {
+	reg("list", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return &List{}, nil
 		}
@@ -209,7 +190,7 @@ func (in *Interp) installBuiltins() {
 		return NewList(vals), nil
 	})
 
-	reg("tuple", func(th *Thread, args []Value) (Value, error) {
+	reg("tuple", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return &Tuple{}, nil
 		}
@@ -220,7 +201,7 @@ func (in *Interp) installBuiltins() {
 		return &Tuple{Elts: vals}, nil
 	})
 
-	reg("dict", func(th *Thread, args []Value) (Value, error) {
+	reg("dict", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		d := NewDict()
 		if len(args) == 1 {
 			if src, ok := args[0].(*Dict); ok {
@@ -234,7 +215,7 @@ func (in *Interp) installBuiltins() {
 		return d, nil
 	})
 
-	reg("set", func(th *Thread, args []Value) (Value, error) {
+	reg("set", Args(0, 1), func(th *Thread, args []Value) (Value, error) {
 		s := NewSet()
 		if len(args) == 1 {
 			vals, err := iterValues(args[0])
@@ -250,14 +231,9 @@ func (in *Interp) installBuiltins() {
 		return s, nil
 	})
 
-	regKw("sorted",
-		func(th *Thread, args []Value) (Value, error) { return sortedImpl(th, args, nil) },
-		sortedImpl)
+	regKw("sorted", Args(1, 1), sortedImpl)
 
-	reg("round", func(th *Thread, args []Value) (Value, error) {
-		if len(args) < 1 || len(args) > 2 {
-			return nil, typeErrorf(minipy.Position{}, "round() takes 1 or 2 arguments")
-		}
+	reg("round", Args(1, 2), func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "round() argument must be a number")
@@ -276,10 +252,7 @@ func (in *Interp) installBuiltins() {
 		return int64(math.RoundToEven(f)), nil
 	})
 
-	reg("isinstance", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return nil, typeErrorf(minipy.Position{}, "isinstance() takes 2 arguments")
-		}
+	reg("isinstance", Args(2, 2), func(th *Thread, args []Value) (Value, error) {
 		checkOne := func(t Value) bool {
 			b, ok := t.(*Builtin)
 			if !ok {
@@ -324,21 +297,15 @@ func (in *Interp) installBuiltins() {
 		return checkOne(args[1]), nil
 	})
 
-	reg("type", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "type() takes exactly one argument")
-		}
+	reg("type", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		return "<class '" + TypeName(args[0]) + "'>", nil
 	})
 
-	reg("id", func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "id() takes exactly one argument")
-		}
+	reg("id", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		return objectID(args[0]), nil
 	})
 
-	reg("ord", func(th *Thread, args []Value) (Value, error) {
+	reg("ord", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		s, ok := args[0].(string)
 		if !ok || len(s) == 0 {
 			return nil, typeErrorf(minipy.Position{}, "ord() expected a character")
@@ -350,7 +317,7 @@ func (in *Interp) installBuiltins() {
 		return int64(r[0]), nil
 	})
 
-	reg("chr", func(th *Thread, args []Value) (Value, error) {
+	reg("chr", Args(1, 1), func(th *Thread, args []Value) (Value, error) {
 		n, ok := asInt(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "an integer is required")
@@ -358,10 +325,7 @@ func (in *Interp) installBuiltins() {
 		return string(rune(n)), nil
 	})
 
-	reg("enumerate", func(th *Thread, args []Value) (Value, error) {
-		if len(args) < 1 || len(args) > 2 {
-			return nil, typeErrorf(minipy.Position{}, "enumerate() takes 1 or 2 arguments")
-		}
+	reg("enumerate", Args(1, 2), func(th *Thread, args []Value) (Value, error) {
 		start := int64(0)
 		if len(args) == 2 {
 			v, ok := asInt(args[1])
@@ -381,7 +345,7 @@ func (in *Interp) installBuiltins() {
 		return NewList(out), nil
 	})
 
-	reg("zip", func(th *Thread, args []Value) (Value, error) {
+	reg("zip", Args(0, -1), func(th *Thread, args []Value) (Value, error) {
 		lists := make([][]Value, len(args))
 		n := -1
 		for i, a := range args {
@@ -415,7 +379,7 @@ func (in *Interp) installBuiltins() {
 		"StopIteration", "ArithmeticError", "LookupError", "NotImplementedError",
 	} {
 		excName := name
-		reg(excName, func(th *Thread, args []Value) (Value, error) {
+		reg(excName, Args(0, -1), func(th *Thread, args []Value) (Value, error) {
 			var msg Value = ""
 			if len(args) == 1 {
 				msg = args[0]
@@ -454,9 +418,6 @@ func printImpl(th *Thread, args []Value, kwargs map[string]Value) (Value, error)
 }
 
 func sortedImpl(th *Thread, args []Value, kwargs map[string]Value) (Value, error) {
-	if len(args) != 1 {
-		return nil, typeErrorf(minipy.Position{}, "sorted() takes one positional argument")
-	}
 	vals, err := iterValues(args[0])
 	if err != nil {
 		return nil, err

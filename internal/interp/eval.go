@@ -273,6 +273,9 @@ func (th *Thread) CallKw(fn Value, args []Value, kwargs map[string]Value, pos mi
 	case *Function:
 		return th.callFunction(f, args, kwargs, pos)
 	case *Builtin:
+		if f.Sig.rejects(len(args)) {
+			return nil, f.Sig.arityError(f.Name, len(args), pos)
+		}
 		switch {
 		case len(kwargs) > 0 && f.FnKw == nil:
 			return nil, typeErrorf(pos, "%s() takes no keyword arguments", f.Name)
@@ -292,6 +295,9 @@ func (th *Thread) CallKw(fn Value, args []Value, kwargs map[string]Value, pos mi
 	case *BoundMethod:
 		if len(kwargs) > 0 {
 			return nil, typeErrorf(pos, "method %s() takes no keyword arguments", f.Name)
+		}
+		if f.Sig.rejects(len(args)) {
+			return nil, f.Sig.arityError(f.Name, len(args), pos)
 		}
 		v, err = f.Fn(th, f.Recv, args)
 	default:

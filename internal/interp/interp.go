@@ -109,6 +109,9 @@ type Thread struct {
 	// (the construct part of the paper's per-thread task stack).
 	singles  []*rt.Single
 	sections []*rt.Sections
+	// critical names the critical sections the thread is in, innermost
+	// last.
+	critical []string
 }
 
 // MainThread creates the initial thread of the program.

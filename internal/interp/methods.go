@@ -20,7 +20,7 @@ func (th *Thread) getAttr(obj Value, name string, pos minipy.Position) (Value, e
 	if exc, ok := obj.(*ExcValue); ok && name == "args" {
 		return &Tuple{Elts: []Value{exc.Msg}}, nil
 	}
-	var table map[string]methodImpl
+	var table map[string]method
 	switch obj.(type) {
 	case *List:
 		table = listMethods
@@ -32,36 +32,26 @@ func (th *Thread) getAttr(obj Value, name string, pos minipy.Position) (Value, e
 		table = strMethods
 	}
 	if table != nil {
-		if fn, ok := table[name]; ok {
-			return &BoundMethod{Recv: obj, Name: name, Fn: fn}, nil
+		if m, ok := table[name]; ok {
+			return &BoundMethod{Recv: obj, Name: name, Sig: m.sig, Fn: m.fn}, nil
 		}
 	}
 	return nil, &PyError{Type: "AttributeError",
 		Msg: "'" + TypeName(obj) + "' object has no attribute '" + name + "'", Pos: pos}
 }
 
-type methodImpl = func(th *Thread, recv Value, args []Value) (Value, error)
-
-func argCount(name string, args []Value, lo, hi int) error {
-	if len(args) < lo || len(args) > hi {
-		return &PyError{Type: "TypeError",
-			Msg: name + "() takes between " + strconv.Itoa(lo) + " and " + strconv.Itoa(hi) + " arguments"}
-	}
-	return nil
+// method is a built-in method of list/dict/set/str values.
+type method struct {
+	sig Sig
+	fn  func(th *Thread, recv Value, args []Value) (Value, error)
 }
 
-var listMethods = map[string]methodImpl{
-	"append": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("append", args, 1, 1); err != nil {
-			return nil, err
-		}
+var listMethods = map[string]method{
+	"append": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		recv.(*List).Append(args[0])
 		return nil, nil
-	},
-	"extend": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("extend", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"extend": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		vals, err := iterValues(args[0])
 		if err != nil {
 			return nil, err
@@ -71,11 +61,8 @@ var listMethods = map[string]methodImpl{
 			l.Append(v)
 		}
 		return nil, nil
-	},
-	"pop": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("pop", args, 0, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"pop": {Args(0, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		i := int64(-1)
 		if len(args) == 1 {
 			n, ok := asInt(args[0])
@@ -89,25 +76,22 @@ var listMethods = map[string]methodImpl{
 			return nil, &PyError{Type: "IndexError", Msg: "pop index out of range"}
 		}
 		return v, nil
-	},
-	"insert": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("insert", args, 2, 2); err != nil {
-			return nil, err
-		}
+	}},
+	"insert": {Args(2, 2), func(th *Thread, recv Value, args []Value) (Value, error) {
 		i, ok := asInt(args[0])
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "insert index must be int"}
 		}
 		recv.(*List).Insert(int(i), args[1])
 		return nil, nil
-	},
-	"sort": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"sort": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		if err := recv.(*List).SortInPlace(); err != nil {
 			return nil, err
 		}
 		return nil, nil
-	},
-	"reverse": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"reverse": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		l := recv.(*List)
 		n := l.Len()
 		for i := 0; i < n/2; i++ {
@@ -116,11 +100,8 @@ var listMethods = map[string]methodImpl{
 			l.Set(n-1-i, a)
 		}
 		return nil, nil
-	},
-	"index": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("index", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"index": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		l := recv.(*List)
 		for i := 0; i < l.Len(); i++ {
 			if valueEqual(l.Get(i), args[0]) {
@@ -128,11 +109,8 @@ var listMethods = map[string]methodImpl{
 			}
 		}
 		return nil, &PyError{Type: "ValueError", Msg: Repr(args[0]) + " is not in list"}
-	},
-	"count": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("count", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"count": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		l := recv.(*List)
 		n := int64(0)
 		for i := 0; i < l.Len(); i++ {
@@ -141,24 +119,21 @@ var listMethods = map[string]methodImpl{
 			}
 		}
 		return n, nil
-	},
-	"clear": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"clear": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		l := recv.(*List)
 		for l.Len() > 0 {
 			l.Pop(-1)
 		}
 		return nil, nil
-	},
-	"copy": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"copy": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		return NewList(recv.(*List).Values()), nil
-	},
+	}},
 }
 
-var dictMethods = map[string]methodImpl{
-	"get": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("get", args, 1, 2); err != nil {
-			return nil, err
-		}
+var dictMethods = map[string]method{
+	"get": {Args(1, 2), func(th *Thread, recv Value, args []Value) (Value, error) {
 		v, ok, err := recv.(*Dict).Get(args[0])
 		if err != nil {
 			return nil, err
@@ -170,35 +145,32 @@ var dictMethods = map[string]methodImpl{
 			return args[1], nil
 		}
 		return nil, nil
-	},
-	"keys": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"keys": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		items := recv.(*Dict).Items()
 		out := make([]Value, len(items))
 		for i, kv := range items {
 			out[i] = kv[0]
 		}
 		return NewList(out), nil
-	},
-	"values": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"values": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		items := recv.(*Dict).Items()
 		out := make([]Value, len(items))
 		for i, kv := range items {
 			out[i] = kv[1]
 		}
 		return NewList(out), nil
-	},
-	"items": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"items": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		items := recv.(*Dict).Items()
 		out := make([]Value, len(items))
 		for i, kv := range items {
 			out[i] = &Tuple{Elts: []Value{kv[0], kv[1]}}
 		}
 		return NewList(out), nil
-	},
-	"pop": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("pop", args, 1, 2); err != nil {
-			return nil, err
-		}
+	}},
+	"pop": {Args(1, 2), func(th *Thread, recv Value, args []Value) (Value, error) {
 		d := recv.(*Dict)
 		v, ok, err := d.Get(args[0])
 		if err != nil {
@@ -214,11 +186,8 @@ var dictMethods = map[string]methodImpl{
 			return nil, err
 		}
 		return v, nil
-	},
-	"setdefault": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("setdefault", args, 1, 2); err != nil {
-			return nil, err
-		}
+	}},
+	"setdefault": {Args(1, 2), func(th *Thread, recv Value, args []Value) (Value, error) {
 		d := recv.(*Dict)
 		var def Value
 		if len(args) == 2 {
@@ -235,11 +204,8 @@ var dictMethods = map[string]methodImpl{
 			return nil, err
 		}
 		return def, nil
-	},
-	"update": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("update", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"update": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		src, ok := args[0].(*Dict)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "update() argument must be dict"}
@@ -251,8 +217,8 @@ var dictMethods = map[string]methodImpl{
 			}
 		}
 		return nil, nil
-	},
-	"clear": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"clear": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		d := recv.(*Dict)
 		for _, kv := range d.Items() {
 			if _, err := d.Delete(kv[0]); err != nil {
@@ -260,8 +226,8 @@ var dictMethods = map[string]methodImpl{
 			}
 		}
 		return nil, nil
-	},
-	"copy": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"copy": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		d := recv.(*Dict)
 		out := NewDict()
 		for _, kv := range d.Items() {
@@ -270,20 +236,14 @@ var dictMethods = map[string]methodImpl{
 			}
 		}
 		return out, nil
-	},
+	}},
 }
 
-var setMethods = map[string]methodImpl{
-	"add": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("add", args, 1, 1); err != nil {
-			return nil, err
-		}
+var setMethods = map[string]method{
+	"add": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		return nil, recv.(*Set).Add(args[0])
-	},
-	"remove": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("remove", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"remove": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		ok, err := recv.(*Set).Remove(args[0])
 		if err != nil {
 			return nil, err
@@ -292,15 +252,12 @@ var setMethods = map[string]methodImpl{
 			return nil, &PyError{Type: "KeyError", Msg: Repr(args[0])}
 		}
 		return nil, nil
-	},
-	"discard": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("discard", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"discard": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		_, err := recv.(*Set).Remove(args[0])
 		return nil, err
-	},
-	"union": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"union": {Args(0, -1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		out := NewSet()
 		for _, v := range recv.(*Set).Values() {
 			if err := out.Add(v); err != nil {
@@ -319,11 +276,8 @@ var setMethods = map[string]methodImpl{
 			}
 		}
 		return out, nil
-	},
-	"intersection": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("intersection", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"intersection": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		other, ok := args[0].(*Set)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "intersection() argument must be set"}
@@ -341,11 +295,11 @@ var setMethods = map[string]methodImpl{
 			}
 		}
 		return out, nil
-	},
+	}},
 }
 
-var strMethods = map[string]methodImpl{
-	"split": func(th *Thread, recv Value, args []Value) (Value, error) {
+var strMethods = map[string]method{
+	"split": {Args(0, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		s := recv.(string)
 		var parts []string
 		if len(args) == 0 {
@@ -362,11 +316,8 @@ var strMethods = map[string]methodImpl{
 			out[i] = p
 		}
 		return NewList(out), nil
-	},
-	"join": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("join", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"join": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		vals, err := iterValues(args[0])
 		if err != nil {
 			return nil, err
@@ -381,14 +332,14 @@ var strMethods = map[string]methodImpl{
 			parts[i] = s
 		}
 		return strings.Join(parts, recv.(string)), nil
-	},
-	"lower": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"lower": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		return strings.ToLower(recv.(string)), nil
-	},
-	"upper": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"upper": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		return strings.ToUpper(recv.(string)), nil
-	},
-	"strip": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"strip": {Args(0, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		if len(args) == 1 {
 			cut, ok := args[0].(string)
 			if !ok {
@@ -397,59 +348,44 @@ var strMethods = map[string]methodImpl{
 			return strings.Trim(recv.(string), cut), nil
 		}
 		return strings.TrimSpace(recv.(string)), nil
-	},
-	"replace": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("replace", args, 2, 2); err != nil {
-			return nil, err
-		}
+	}},
+	"replace": {Args(2, 2), func(th *Thread, recv Value, args []Value) (Value, error) {
 		old, ok1 := args[0].(string)
 		new_, ok2 := args[1].(string)
 		if !ok1 || !ok2 {
 			return nil, &PyError{Type: "TypeError", Msg: "replace arguments must be str"}
 		}
 		return strings.ReplaceAll(recv.(string), old, new_), nil
-	},
-	"startswith": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("startswith", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"startswith": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		p, ok := args[0].(string)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "startswith argument must be str"}
 		}
 		return strings.HasPrefix(recv.(string), p), nil
-	},
-	"endswith": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("endswith", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"endswith": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		p, ok := args[0].(string)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "endswith argument must be str"}
 		}
 		return strings.HasSuffix(recv.(string), p), nil
-	},
-	"find": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("find", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"find": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		p, ok := args[0].(string)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "find argument must be str"}
 		}
 		return int64(strings.Index(recv.(string), p)), nil
-	},
-	"count": func(th *Thread, recv Value, args []Value) (Value, error) {
-		if err := argCount("count", args, 1, 1); err != nil {
-			return nil, err
-		}
+	}},
+	"count": {Args(1, 1), func(th *Thread, recv Value, args []Value) (Value, error) {
 		p, ok := args[0].(string)
 		if !ok {
 			return nil, &PyError{Type: "TypeError", Msg: "count argument must be str"}
 		}
 		return int64(strings.Count(recv.(string), p)), nil
-	},
-	"isalpha": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"isalpha": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		s := recv.(string)
 		if s == "" {
 			return false, nil
@@ -460,8 +396,8 @@ var strMethods = map[string]methodImpl{
 			}
 		}
 		return true, nil
-	},
-	"isdigit": func(th *Thread, recv Value, args []Value) (Value, error) {
+	}},
+	"isdigit": {Args(0, 0), func(th *Thread, recv Value, args []Value) (Value, error) {
 		s := recv.(string)
 		if s == "" {
 			return false, nil
@@ -472,5 +408,5 @@ var strMethods = map[string]methodImpl{
 			}
 		}
 		return true, nil
-	},
+	}},
 }

@@ -21,11 +21,18 @@ func (in *Interp) installModules() {
 // NetworkX and file I/O in the paper's non-numerical benchmarks).
 func (in *Interp) RegisterModule(m *Module) { in.modules[m.Name] = m }
 
+// NewModule builds a module of Go-implemented functions, each bound
+// under its Name.
+func NewModule(name string, fns ...*Builtin) *Module {
+	m := &Module{Name: name, Attrs: make(map[string]Value, len(fns))}
+	for _, f := range fns {
+		m.Attrs[f.Name] = f
+	}
+	return m
+}
+
 func mathFn1(name string, fn func(float64) float64) (string, Value) {
-	return name, &Builtin{Name: name, Fn: func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, typeErrorf(minipy.Position{}, "%s() takes exactly one argument", name)
-		}
+	return name, &Builtin{Name: name, Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "must be real number, not %s", TypeName(args[0]))
@@ -59,24 +66,21 @@ func (in *Interp) mathModule() *Module {
 	put(mathFn1("log2", math.Log2))
 	put(mathFn1("log10", math.Log10))
 	put(mathFn1("fabs", math.Abs))
-	attrs["floor"] = &Builtin{Name: "floor", Fn: func(th *Thread, args []Value) (Value, error) {
+	attrs["floor"] = &Builtin{Name: "floor", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "must be real number")
 		}
 		return int64(math.Floor(f)), nil
 	}}
-	attrs["ceil"] = &Builtin{Name: "ceil", Fn: func(th *Thread, args []Value) (Value, error) {
+	attrs["ceil"] = &Builtin{Name: "ceil", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "must be real number")
 		}
 		return int64(math.Ceil(f)), nil
 	}}
-	attrs["pow"] = &Builtin{Name: "pow", Fn: func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return nil, typeErrorf(minipy.Position{}, "pow() takes exactly two arguments")
-		}
+	attrs["pow"] = &Builtin{Name: "pow", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 		a, ok1 := asFloat(args[0])
 		b, ok2 := asFloat(args[1])
 		if !ok1 || !ok2 {
@@ -84,10 +88,7 @@ func (in *Interp) mathModule() *Module {
 		}
 		return math.Pow(a, b), nil
 	}}
-	attrs["atan2"] = &Builtin{Name: "atan2", Fn: func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return nil, typeErrorf(minipy.Position{}, "atan2() takes exactly two arguments")
-		}
+	attrs["atan2"] = &Builtin{Name: "atan2", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 		a, ok1 := asFloat(args[0])
 		b, ok2 := asFloat(args[1])
 		if !ok1 || !ok2 {
@@ -95,10 +96,7 @@ func (in *Interp) mathModule() *Module {
 		}
 		return math.Atan2(a, b), nil
 	}}
-	attrs["fmod"] = &Builtin{Name: "fmod", Fn: func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return nil, typeErrorf(minipy.Position{}, "fmod() takes exactly two arguments")
-		}
+	attrs["fmod"] = &Builtin{Name: "fmod", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 		a, ok1 := asFloat(args[0])
 		b, ok2 := asFloat(args[1])
 		if !ok1 || !ok2 {
@@ -106,14 +104,14 @@ func (in *Interp) mathModule() *Module {
 		}
 		return math.Mod(a, b), nil
 	}}
-	attrs["isnan"] = &Builtin{Name: "isnan", Fn: func(th *Thread, args []Value) (Value, error) {
+	attrs["isnan"] = &Builtin{Name: "isnan", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "must be real number")
 		}
 		return math.IsNaN(f), nil
 	}}
-	attrs["isinf"] = &Builtin{Name: "isinf", Fn: func(th *Thread, args []Value) (Value, error) {
+	attrs["isinf"] = &Builtin{Name: "isinf", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 		f, ok := asFloat(args[0])
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "must be real number")
@@ -126,13 +124,13 @@ func (in *Interp) mathModule() *Module {
 func (in *Interp) timeModule() *Module {
 	epoch := time.Now()
 	return &Module{Name: "time", Attrs: map[string]Value{
-		"time": &Builtin{Name: "time", Fn: func(th *Thread, args []Value) (Value, error) {
+		"time": &Builtin{Name: "time", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
 			return float64(time.Now().UnixNano()) / 1e9, nil
 		}},
-		"perf_counter": &Builtin{Name: "perf_counter", Fn: func(th *Thread, args []Value) (Value, error) {
+		"perf_counter": &Builtin{Name: "perf_counter", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
 			return time.Since(epoch).Seconds(), nil
 		}},
-		"sleep": &Builtin{Name: "sleep", ReleasesGIL: true,
+		"sleep": &Builtin{Name: "sleep", Sig: Args(1, 1), ReleasesGIL: true,
 			Fn: func(th *Thread, args []Value) (Value, error) {
 				f, ok := asFloat(args[0])
 				if !ok || f < 0 {
@@ -160,7 +158,7 @@ func (in *Interp) randomModule() *Module {
 		return v
 	}
 	return &Module{Name: "random", Attrs: map[string]Value{
-		"seed": &Builtin{Name: "seed", Fn: func(th *Thread, args []Value) (Value, error) {
+		"seed": &Builtin{Name: "seed", Sig: Args(0, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 			n := int64(0)
 			if len(args) == 1 {
 				v, ok := asInt(args[0])
@@ -177,13 +175,10 @@ func (in *Interp) randomModule() *Module {
 			mu.Unlock()
 			return nil, nil
 		}},
-		"random": &Builtin{Name: "random", Fn: func(th *Thread, args []Value) (Value, error) {
+		"random": &Builtin{Name: "random", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
 			return float64(next()>>11) / float64(1<<53), nil
 		}},
-		"randint": &Builtin{Name: "randint", Fn: func(th *Thread, args []Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, typeErrorf(minipy.Position{}, "randint() takes two arguments")
-			}
+		"randint": &Builtin{Name: "randint", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 			a, ok1 := asInt(args[0])
 			b, ok2 := asInt(args[1])
 			if !ok1 || !ok2 || b < a {
@@ -191,10 +186,7 @@ func (in *Interp) randomModule() *Module {
 			}
 			return a + int64(next()%uint64(b-a+1)), nil
 		}},
-		"uniform": &Builtin{Name: "uniform", Fn: func(th *Thread, args []Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, typeErrorf(minipy.Position{}, "uniform() takes two arguments")
-			}
+		"uniform": &Builtin{Name: "uniform", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 			a, ok1 := asFloat(args[0])
 			b, ok2 := asFloat(args[1])
 			if !ok1 || !ok2 {
@@ -203,7 +195,7 @@ func (in *Interp) randomModule() *Module {
 			f := float64(next()>>11) / float64(1<<53)
 			return a + f*(b-a), nil
 		}},
-		"shuffle": &Builtin{Name: "shuffle", Fn: func(th *Thread, args []Value) (Value, error) {
+		"shuffle": &Builtin{Name: "shuffle", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 			l, ok := args[0].(*List)
 			if !ok {
 				return nil, typeErrorf(minipy.Position{}, "shuffle() argument must be list")

@@ -3,11 +3,12 @@ package interp
 import (
 	"errors"
 	"fmt"
-
+	"runtime"
 	"strings"
 
 	"github.com/omp4go/omp4go/internal/directive"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/ompabi"
 	"github.com/omp4go/omp4go/internal/rt"
 )
 
@@ -16,9 +17,11 @@ import (
 //   - omp4py: the user API — the inert omp() directive container and
 //     the OpenMP runtime library routines (omp_get_num_threads, ...).
 //   - __omp: the internal module referenced by transformer-generated
-//     code (parallel_run, for_bounds/for_init/for_next, task_submit,
-//     ...), bridging to the rt runtime exactly as OMP4Py's generated
-//     code calls into its runtime/cruntime.
+//     code, one implementation per entry of internal/ompabi's table,
+//     bridging to the rt runtime exactly as OMP4Py's generated code
+//     calls into its runtime/cruntime. Arity is the table's, checked by
+//     CallKw; an implementation checks the kinds of its arguments and
+//     takes the failure message from the table (argError).
 
 // BoundsVal wraps the per-thread loop descriptor; generated code
 // indexes it like the __omp_bounds array of Fig. 3 ([0] is the
@@ -33,118 +36,77 @@ type LockVal struct{ L *rt.Lock }
 // NestLockVal wraps an OpenMP nestable lock.
 type NestLockVal struct{ L *rt.NestLock }
 
+type builtinFn = func(th *Thread, args []Value) (Value, error)
+
 func (in *Interp) installOmpModule() {
-	user := map[string]Value{}
-	gen := map[string]Value{}
-
-	reg := func(m map[string]Value, name string, releases bool,
-		fn func(th *Thread, args []Value) (Value, error)) {
-		m[name] = &Builtin{Name: name, Fn: fn, ReleasesGIL: releases}
+	user := map[string]Value{
+		// The inert directive container: calling omp("...") does nothing
+		// at run time (§III-A); it also passes decorated functions
+		// through unchanged when code reaches the interpreter without
+		// transformation.
+		"omp": &Builtin{Name: "omp", FnKw: func(th *Thread, args []Value, kwargs map[string]Value) (Value, error) {
+			if len(args) == 1 {
+				if _, isFn := args[0].(*Function); isFn {
+					return args[0], nil
+				}
+			}
+			return nil, nil
+		}},
 	}
-
-	// The inert directive container: calling omp("...") does nothing
-	// at run time (§III-A); it also passes decorated functions
-	// through unchanged when code reaches the interpreter without
-	// transformation.
-	user["omp"] = &Builtin{Name: "omp", FnKw: func(th *Thread, args []Value, kwargs map[string]Value) (Value, error) {
-		if len(args) == 1 {
-			if _, isFn := args[0].(*Function); isFn {
-				return args[0], nil
-			}
-		}
-		return nil, nil
-	}, Fn: func(th *Thread, args []Value) (Value, error) {
-		if len(args) == 1 {
-			if _, isFn := args[0].(*Function); isFn {
-				return args[0], nil
-			}
-		}
-		return nil, nil
-	}}
+	reg := func(name string, sig Sig, releases bool, fn builtinFn) {
+		user[name] = &Builtin{Name: name, Sig: sig, Fn: fn, ReleasesGIL: releases}
+	}
 
 	// ---- user-facing runtime library routines ----
 
-	reg(user, "omp_get_thread_num", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.ctx.GetThreadNum()), nil
-	})
-	reg(user, "omp_get_num_threads", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.ctx.GetNumThreads()), nil
-	})
-	reg(user, "omp_set_num_threads", false, func(th *Thread, args []Value) (Value, error) {
-		n, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_set_num_threads() requires an int")
-		}
-		th.in.rt.SetNumThreads(int(n))
-		return nil, nil
-	})
-	reg(user, "omp_get_max_threads", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.in.rt.GetMaxThreads()), nil
-	})
-	reg(user, "omp_in_parallel", false, func(th *Thread, args []Value) (Value, error) {
-		return th.ctx.InParallel(), nil
-	})
-	reg(user, "omp_set_nested", false, func(th *Thread, args []Value) (Value, error) {
-		th.in.rt.SetNested(Truthy(args[0]))
-		return nil, nil
-	})
-	reg(user, "omp_get_nested", false, func(th *Thread, args []Value) (Value, error) {
-		return th.in.rt.GetNested(), nil
-	})
-	reg(user, "omp_set_dynamic", false, func(th *Thread, args []Value) (Value, error) {
-		th.in.rt.SetDynamic(Truthy(args[0]))
-		return nil, nil
-	})
-	reg(user, "omp_get_dynamic", false, func(th *Thread, args []Value) (Value, error) {
-		return th.in.rt.GetDynamic(), nil
-	})
-	reg(user, "omp_get_level", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.ctx.GetLevel()), nil
-	})
-	reg(user, "omp_get_active_level", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.ctx.GetActiveLevel()), nil
-	})
-	reg(user, "omp_get_ancestor_thread_num", false, func(th *Thread, args []Value) (Value, error) {
-		n, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "level must be int")
-		}
-		return int64(th.ctx.GetAncestorThreadNum(int(n))), nil
-	})
-	reg(user, "omp_get_team_size", false, func(th *Thread, args []Value) (Value, error) {
-		n, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "level must be int")
-		}
-		return int64(th.ctx.GetTeamSize(int(n))), nil
-	})
-	reg(user, "omp_get_wtime", false, func(th *Thread, args []Value) (Value, error) {
-		return th.in.rt.GetWTime(), nil
-	})
-	reg(user, "omp_get_wtick", false, func(th *Thread, args []Value) (Value, error) {
-		return th.in.rt.GetWTick(), nil
-	})
-	reg(user, "omp_set_max_active_levels", false, func(th *Thread, args []Value) (Value, error) {
-		n, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "levels must be int")
-		}
-		th.in.rt.SetMaxActiveLevels(int(n))
-		return nil, nil
-	})
-	reg(user, "omp_get_max_active_levels", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.in.rt.GetMaxActiveLevels()), nil
-	})
-	reg(user, "omp_get_thread_limit", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.in.rt.GetThreadLimit()), nil
-	})
-	reg(user, "omp_get_num_procs", false, func(th *Thread, args []Value) (Value, error) {
-		return int64(th.in.rt.GetMaxThreads()), nil
-	})
-	reg(user, "omp_set_schedule", false, func(th *Thread, args []Value) (Value, error) {
-		if len(args) < 1 || len(args) > 2 {
-			return nil, typeErrorf(minipy.Position{}, "omp_set_schedule(kind, chunk)")
-		}
+	for name, get := range map[string]func(th *Thread) Value{
+		"omp_get_thread_num":        func(th *Thread) Value { return int64(th.ctx.GetThreadNum()) },
+		"omp_get_num_threads":       func(th *Thread) Value { return int64(th.ctx.GetNumThreads()) },
+		"omp_get_max_threads":       func(th *Thread) Value { return int64(th.in.rt.GetMaxThreads()) },
+		"omp_in_parallel":           func(th *Thread) Value { return th.ctx.InParallel() },
+		"omp_get_nested":            func(th *Thread) Value { return th.in.rt.GetNested() },
+		"omp_get_dynamic":           func(th *Thread) Value { return th.in.rt.GetDynamic() },
+		"omp_get_level":             func(th *Thread) Value { return int64(th.ctx.GetLevel()) },
+		"omp_get_active_level":      func(th *Thread) Value { return int64(th.ctx.GetActiveLevel()) },
+		"omp_get_wtime":             func(th *Thread) Value { return th.in.rt.GetWTime() },
+		"omp_get_wtick":             func(th *Thread) Value { return th.in.rt.GetWTick() },
+		"omp_get_max_active_levels": func(th *Thread) Value { return int64(th.in.rt.GetMaxActiveLevels()) },
+		"omp_get_thread_limit":      func(th *Thread) Value { return int64(th.in.rt.GetThreadLimit()) },
+		// The number of processors available to the program, which the
+		// nthreads ICV (omp_set_num_threads) does not change.
+		"omp_get_num_procs": func(th *Thread) Value { return int64(runtime.NumCPU()) },
+		"omp_get_schedule": func(th *Thread) Value {
+			s := th.in.rt.GetSchedule()
+			return &Tuple{Elts: []Value{s.Kind.String(), s.Chunk}}
+		},
+		"omp_init_lock":      func(th *Thread) Value { return &LockVal{L: &rt.Lock{}} },
+		"omp_init_nest_lock": func(th *Thread) Value { return &NestLockVal{L: &rt.NestLock{}} },
+	} {
+		reg(name, Args(0, 0), false, func(th *Thread, _ []Value) (Value, error) { return get(th), nil })
+	}
+	for name, set := range map[string]func(th *Thread, v Value){
+		"omp_set_nested":        func(th *Thread, v Value) { th.in.rt.SetNested(Truthy(v)) },
+		"omp_set_dynamic":       func(th *Thread, v Value) { th.in.rt.SetDynamic(Truthy(v)) },
+		"omp_destroy_lock":      func(*Thread, Value) {},
+		"omp_destroy_nest_lock": func(*Thread, Value) {},
+	} {
+		reg(name, Args(1, 1), false, func(th *Thread, args []Value) (Value, error) { set(th, args[0]); return nil, nil })
+	}
+	intRoutine := func(name string, fn func(th *Thread, n int) Value) {
+		reg(name, Args(1, 1), false, func(th *Thread, args []Value) (Value, error) {
+			n, ok := asInt(args[0])
+			if !ok {
+				return nil, typeErrorf(minipy.Position{}, "%s() argument must be int, not %s", name, TypeName(args[0]))
+			}
+			return fn(th, int(n)), nil
+		})
+	}
+	intRoutine("omp_set_num_threads", func(th *Thread, n int) Value { th.in.rt.SetNumThreads(n); return nil })
+	intRoutine("omp_set_max_active_levels", func(th *Thread, n int) Value { th.in.rt.SetMaxActiveLevels(n); return nil })
+	intRoutine("omp_get_ancestor_thread_num", func(th *Thread, n int) Value { return int64(th.ctx.GetAncestorThreadNum(n)) })
+	intRoutine("omp_get_team_size", func(th *Thread, n int) Value { return int64(th.ctx.GetTeamSize(n)) })
+
+	reg("omp_set_schedule", Args(1, 2), false, func(th *Thread, args []Value) (Value, error) {
 		kindStr, ok := args[0].(string)
 		if !ok {
 			return nil, typeErrorf(minipy.Position{}, "schedule kind must be a string")
@@ -155,551 +117,54 @@ func (in *Interp) installOmpModule() {
 		}
 		chunk := int64(0)
 		if len(args) == 2 {
-			c, ok := asInt(args[1])
-			if !ok {
+			if chunk, ok = asInt(args[1]); !ok {
 				return nil, typeErrorf(minipy.Position{}, "chunk must be int")
 			}
-			chunk = c
 		}
 		if err := th.in.rt.SetSchedule(rt.Schedule{Kind: kind, Chunk: chunk}); err != nil {
 			return nil, valueErrorf(minipy.Position{}, "%v", err)
 		}
 		return nil, nil
 	})
-	reg(user, "omp_get_schedule", false, func(th *Thread, args []Value) (Value, error) {
-		s := th.in.rt.GetSchedule()
-		return &Tuple{Elts: []Value{s.Kind.String(), s.Chunk}}, nil
-	})
 
 	// Locks.
-	reg(user, "omp_init_lock", false, func(th *Thread, args []Value) (Value, error) {
-		return &LockVal{L: &rt.Lock{}}, nil
+	lockRoutine := func(name string, releases bool, fn func(th *Thread, l *rt.Lock) (Value, error)) {
+		reg(name, Args(1, 1), releases, func(th *Thread, args []Value) (Value, error) {
+			if l, ok := args[0].(*LockVal); ok {
+				return fn(th, l.L)
+			}
+			return nil, typeErrorf(minipy.Position{}, "%s() requires a lock", name)
+		})
+	}
+	lockRoutine("omp_set_lock", true, func(th *Thread, l *rt.Lock) (Value, error) { l.Set(); return nil, nil })
+	lockRoutine("omp_unset_lock", false, func(th *Thread, l *rt.Lock) (Value, error) { return nil, runtimeErr(l.Unset()) })
+	lockRoutine("omp_test_lock", false, func(th *Thread, l *rt.Lock) (Value, error) { return l.Test(), nil })
+	nestRoutine := func(name string, releases bool, fn func(th *Thread, l *rt.NestLock) (Value, error)) {
+		reg(name, Args(1, 1), releases, func(th *Thread, args []Value) (Value, error) {
+			if l, ok := args[0].(*NestLockVal); ok {
+				return fn(th, l.L)
+			}
+			return nil, typeErrorf(minipy.Position{}, "%s() requires a nest lock", name)
+		})
+	}
+	nestRoutine("omp_set_nest_lock", true, func(th *Thread, l *rt.NestLock) (Value, error) { l.Set(th.ctx); return nil, nil })
+	nestRoutine("omp_unset_nest_lock", false, func(th *Thread, l *rt.NestLock) (Value, error) {
+		return nil, runtimeErr(l.Unset(th.ctx))
 	})
-	reg(user, "omp_destroy_lock", false, func(th *Thread, args []Value) (Value, error) {
-		return nil, nil
-	})
-	reg(user, "omp_set_lock", true, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*LockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_set_lock() requires a lock")
-		}
-		l.L.Set()
-		return nil, nil
-	})
-	reg(user, "omp_unset_lock", false, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*LockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_unset_lock() requires a lock")
-		}
-		if err := l.L.Unset(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-	reg(user, "omp_test_lock", false, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*LockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_test_lock() requires a lock")
-		}
-		return l.L.Test(), nil
-	})
-	reg(user, "omp_init_nest_lock", false, func(th *Thread, args []Value) (Value, error) {
-		return &NestLockVal{L: &rt.NestLock{}}, nil
-	})
-	reg(user, "omp_destroy_nest_lock", false, func(th *Thread, args []Value) (Value, error) {
-		return nil, nil
-	})
-	reg(user, "omp_set_nest_lock", true, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*NestLockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_set_nest_lock() requires a nest lock")
-		}
-		l.L.Set(th.ctx)
-		return nil, nil
-	})
-	reg(user, "omp_unset_nest_lock", false, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*NestLockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_unset_nest_lock() requires a nest lock")
-		}
-		if err := l.L.Unset(th.ctx); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-	reg(user, "omp_test_nest_lock", false, func(th *Thread, args []Value) (Value, error) {
-		l, ok := args[0].(*NestLockVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "omp_test_nest_lock() requires a nest lock")
-		}
-		return int64(l.L.Test(th.ctx)), nil
+	nestRoutine("omp_test_nest_lock", false, func(th *Thread, l *rt.NestLock) (Value, error) {
+		return int64(l.Test(th.ctx)), nil
 	})
 
 	// ---- generated-code runtime entry points (__omp) ----
 
-	reg(gen, "parallel_run", true, func(th *Thread, args []Value) (Value, error) {
-		// parallel_run(fn, nthreads, if_set, if_val[, label]) — the
-		// optional 5th argument is the directive's source label for
-		// the time-attribution profiler (older generated code omits
-		// it).
-		if len(args) != 4 && len(args) != 5 {
-			return nil, typeErrorf(minipy.Position{}, "parallel_run expects 4 or 5 arguments")
+	gen := make(map[string]Value, ompabi.NumEntries)
+	for e, fn := range ompEntries() {
+		spec := &ompabi.Specs[e]
+		if fn == nil {
+			panic("interp: no implementation of " + ompabi.Module + "." + spec.Name)
 		}
-		fn := args[0]
-		opts := rt.ParallelOpts{}
-		if n, ok := asInt(args[1]); ok && n > 0 {
-			opts.NumThreads = int(n)
-		}
-		if Truthy(args[2]) {
-			opts.IfSet = true
-			opts.If = Truthy(args[3])
-		}
-		if len(args) == 5 {
-			if s, ok := args[4].(string); ok {
-				opts.Label = s
-			}
-		}
-		in := th.in
-		err := in.rt.Parallel(th.ctx, opts, func(c *rt.Context) error {
-			member := in.spawn(c)
-			if in.gil != nil {
-				in.gil.acquire()
-				defer in.gil.release()
-			}
-			_, err := member.Call(fn, nil, minipy.Position{})
-			return err
-		})
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "for_bounds", false, func(th *Thread, args []Value) (Value, error) {
-		if len(args) == 0 || len(args)%3 != 0 {
-			return nil, typeErrorf(minipy.Position{}, "for_bounds expects start/stop/step triplets")
-		}
-		trips := make([]rt.Triplet, 0, len(args)/3)
-		for i := 0; i < len(args); i += 3 {
-			s, ok1 := asInt(args[i])
-			e, ok2 := asInt(args[i+1])
-			st, ok3 := asInt(args[i+2])
-			if !ok1 || !ok2 || !ok3 {
-				return nil, typeErrorf(minipy.Position{}, "loop bounds must be integers")
-			}
-			if st == 0 {
-				return nil, FaultStep.Err(minipy.Position{})
-			}
-			trips = append(trips, rt.Triplet{Start: s, End: e, Step: st})
-		}
-		return &BoundsVal{B: rt.ForBounds(trips...)}, nil
-	})
-
-	reg(gen, "for_init", false, func(th *Thread, args []Value) (Value, error) {
-		// for_init(b, kind, chunk, ordered, nowait)
-		if len(args) != 5 {
-			return nil, typeErrorf(minipy.Position{}, "for_init expects 5 arguments")
-		}
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "for_init first argument must be loop bounds")
-		}
-		opts := rt.ForOpts{
-			Ordered: Truthy(args[3]),
-			NoWait:  Truthy(args[4]),
-		}
-		if kindStr, ok := args[1].(string); ok && kindStr != "" {
-			kind, err := directive.ParseScheduleKind(kindStr)
-			if err != nil {
-				return nil, valueErrorf(minipy.Position{}, "%v", err)
-			}
-			opts.SchedSet = true
-			opts.Sched.Kind = kind
-			if chunk, ok := asInt(args[2]); ok {
-				if chunk < 1 {
-					return nil, valueErrorf(minipy.Position{}, "chunk size must be positive")
-				}
-				opts.Sched.Chunk = chunk
-			}
-		}
-		if err := th.ctx.ForInit(b.B, opts); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "for_next", false, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "for_next argument must be loop bounds")
-		}
-		return b.B.ForNext(), nil
-	})
-
-	reg(gen, "for_last", false, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "for_last argument must be loop bounds")
-		}
-		return b.B.IsLast(), nil
-	})
-
-	reg(gen, "for_end", true, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "for_end argument must be loop bounds")
-		}
-		if err := th.ctx.ForEnd(b.B); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "lin_lo", false, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "lin_lo argument must be loop bounds")
-		}
-		return b.B.Lo, nil
-	})
-
-	reg(gen, "lin_hi", false, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "lin_hi argument must be loop bounds")
-		}
-		return b.B.Hi, nil
-	})
-
-	reg(gen, "unravel", false, func(th *Thread, args []Value) (Value, error) {
-		b, ok := args[0].(*BoundsVal)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "unravel first argument must be loop bounds")
-		}
-		lin, ok := asInt(args[1])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "unravel index must be int")
-		}
-		idx := b.B.Unravel(lin)
-		elts := make([]Value, len(idx))
-		for i, v := range idx {
-			elts[i] = v
-		}
-		return &Tuple{Elts: elts}, nil
-	})
-
-	reg(gen, "barrier", true, func(th *Thread, args []Value) (Value, error) {
-		if err := th.ctx.Barrier(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "single_begin", false, func(th *Thread, args []Value) (Value, error) {
-		// single_begin(nowait, copyprivate)
-		s, err := th.ctx.SingleBegin(Truthy(args[0]), Truthy(args[1]))
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		th.singles = append(th.singles, s)
-		return s.Executes(), nil
-	})
-
-	reg(gen, "single_copyprivate", false, func(th *Thread, args []Value) (Value, error) {
-		if len(th.singles) == 0 {
-			return nil, runtimeErr(&rt.MisuseError{Construct: "single", Msg: "copyprivate outside single"})
-		}
-		s := th.singles[len(th.singles)-1]
-		if err := s.CopyPrivate(args[0]); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "single_end", true, func(th *Thread, args []Value) (Value, error) {
-		if len(th.singles) == 0 {
-			return nil, runtimeErr(&rt.MisuseError{Construct: "single", Msg: "single_end without single_begin"})
-		}
-		s := th.singles[len(th.singles)-1]
-		th.singles = th.singles[:len(th.singles)-1]
-		v, err := s.End()
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		return v, nil
-	})
-
-	reg(gen, "sections_begin", false, func(th *Thread, args []Value) (Value, error) {
-		n, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "sections count must be int")
-		}
-		s, err := th.ctx.SectionsBegin(int(n), Truthy(args[1]))
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		th.sections = append(th.sections, s)
-		return nil, nil
-	})
-
-	reg(gen, "sections_next", false, func(th *Thread, args []Value) (Value, error) {
-		if len(th.sections) == 0 {
-			return nil, runtimeErr(&rt.MisuseError{Construct: "sections", Msg: "sections_next outside sections"})
-		}
-		return th.sections[len(th.sections)-1].Next(), nil
-	})
-
-	reg(gen, "sections_last", false, func(th *Thread, args []Value) (Value, error) {
-		if len(th.sections) == 0 {
-			return nil, runtimeErr(&rt.MisuseError{Construct: "sections", Msg: "sections_last outside sections"})
-		}
-		return th.sections[len(th.sections)-1].IsLast(), nil
-	})
-
-	reg(gen, "sections_end", true, func(th *Thread, args []Value) (Value, error) {
-		if len(th.sections) == 0 {
-			return nil, runtimeErr(&rt.MisuseError{Construct: "sections", Msg: "sections_end without sections_begin"})
-		}
-		s := th.sections[len(th.sections)-1]
-		th.sections = th.sections[:len(th.sections)-1]
-		if err := s.End(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "master", false, func(th *Thread, args []Value) (Value, error) {
-		return th.ctx.Master(), nil
-	})
-
-	reg(gen, "critical_enter", true, func(th *Thread, args []Value) (Value, error) {
-		name, _ := args[0].(string)
-		th.ctx.CriticalEnter(name)
-		return nil, nil
-	})
-
-	reg(gen, "critical_exit", false, func(th *Thread, args []Value) (Value, error) {
-		name, _ := args[0].(string)
-		th.ctx.CriticalExit(name)
-		return nil, nil
-	})
-
-	reg(gen, "mutex_lock", true, func(th *Thread, args []Value) (Value, error) {
-		th.ctx.CriticalEnter("__omp_reduction")
-		return nil, nil
-	})
-
-	reg(gen, "mutex_unlock", false, func(th *Thread, args []Value) (Value, error) {
-		th.ctx.CriticalExit("__omp_reduction")
-		return nil, nil
-	})
-
-	reg(gen, "flush", false, func(th *Thread, args []Value) (Value, error) {
-		// Go's memory model makes the runtime's synchronization points
-		// full fences; flush is a no-op beyond its ordering role.
-		return nil, nil
-	})
-
-	reg(gen, "task_submit", true, func(th *Thread, args []Value) (Value, error) {
-		// task_submit(fn, if_set, if_val, final_set, final_val
-		//             [, in_keys, out_keys, inout_keys])
-		if len(args) != 5 && len(args) != 8 {
-			return nil, typeErrorf(minipy.Position{}, "task_submit expects 5 or 8 arguments")
-		}
-		fn := args[0]
-		opts := rt.TaskOpts{}
-		if Truthy(args[1]) {
-			opts.IfSet, opts.If = true, Truthy(args[2])
-		}
-		if Truthy(args[3]) {
-			opts.FinalSet, opts.Final = true, Truthy(args[4])
-		}
-		if len(args) == 8 {
-			var err error
-			if opts.Depends, err = appendDepKeys(opts.Depends, args[5], rt.DepIn); err != nil {
-				return nil, err
-			}
-			if opts.Depends, err = appendDepKeys(opts.Depends, args[6], rt.DepOut); err != nil {
-				return nil, err
-			}
-			if opts.Depends, err = appendDepKeys(opts.Depends, args[7], rt.DepInOut); err != nil {
-				return nil, err
-			}
-		}
-		in := th.in
-		err := th.ctx.SubmitTask(opts, func(c *rt.Context) error {
-			tth := in.spawn(c)
-			if in.gil != nil {
-				in.gil.acquire()
-				defer in.gil.release()
-			}
-			_, err := tth.Call(fn, nil, minipy.Position{})
-			return err
-		})
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "task_wait", true, func(th *Thread, args []Value) (Value, error) {
-		if err := th.ctx.TaskWait(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "taskloop", true, func(th *Thread, args []Value) (Value, error) {
-		// taskloop(fn, start, stop, step, grainsize, num_tasks,
-		//          nogroup, if_set, if_val, final_set, final_val)
-		if len(args) != 11 {
-			return nil, typeErrorf(minipy.Position{}, "taskloop expects 11 arguments")
-		}
-		fn := args[0]
-		s, ok1 := asInt(args[1])
-		e, ok2 := asInt(args[2])
-		st, ok3 := asInt(args[3])
-		if !ok1 || !ok2 || !ok3 {
-			return nil, typeErrorf(minipy.Position{}, "taskloop bounds must be integers")
-		}
-		if st == 0 {
-			return nil, FaultStep.Err(minipy.Position{})
-		}
-		gs, ok4 := asInt(args[4])
-		nt, ok5 := asInt(args[5])
-		if !ok4 || !ok5 {
-			return nil, typeErrorf(minipy.Position{}, "taskloop grainsize/num_tasks must be integers")
-		}
-		opts := rt.TaskLoopOpts{Grainsize: gs, NumTasks: nt, NoGroup: Truthy(args[6])}
-		if Truthy(args[7]) {
-			opts.IfSet, opts.If = true, Truthy(args[8])
-		}
-		if Truthy(args[9]) {
-			opts.FinalSet, opts.Final = true, Truthy(args[10])
-		}
-		in := th.in
-		b := rt.ForBounds(rt.Triplet{Start: s, End: e, Step: st})
-		err := th.ctx.TaskLoop(b, opts, func(c *rt.Context, lo, hi int64) error {
-			tth := in.spawn(c)
-			if in.gil != nil {
-				in.gil.acquire()
-				defer in.gil.release()
-			}
-			_, err := tth.Call(fn, []Value{lo, hi}, minipy.Position{})
-			return err
-		})
-		if err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "taskgroup_begin", false, func(th *Thread, args []Value) (Value, error) {
-		th.ctx.TaskgroupBegin()
-		return nil, nil
-	})
-
-	reg(gen, "taskgroup_end", true, func(th *Thread, args []Value) (Value, error) {
-		if err := th.ctx.TaskgroupEnd(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "ordered_begin", true, func(th *Thread, args []Value) (Value, error) {
-		i, ok := asInt(args[0])
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "ordered iteration must be int")
-		}
-		if err := th.ctx.OrderedBegin(i); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "ordered_end", false, func(th *Thread, args []Value) (Value, error) {
-		if err := th.ctx.OrderedEnd(); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "declare_reduction", false, func(th *Thread, args []Value) (Value, error) {
-		// declare_reduction(ident, combiner_fn, init_fn_or_None)
-		if len(args) != 3 {
-			return nil, typeErrorf(minipy.Position{}, "declare_reduction expects 3 arguments")
-		}
-		ident, ok := args[0].(string)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "reduction identifier must be a string")
-		}
-		combiner := args[1]
-		initFn := args[2]
-		in := th.in
-		decl := &rt.DeclaredReduction{
-			Ident: ident,
-			Combine: func(out, inVal any) any {
-				// Combiner errors surface at merge time via panic; the
-				// runtime contains task/team panics.
-				tth := in.MainThread()
-				defer tth.Release()
-				v, err := tth.Call(combiner, []Value{out, inVal}, minipy.Position{})
-				if err != nil {
-					panic(err)
-				}
-				return v
-			},
-		}
-		if initFn != nil {
-			decl.Identity = func() any {
-				tth := in.MainThread()
-				defer tth.Release()
-				v, err := tth.Call(initFn, nil, minipy.Position{})
-				if err != nil {
-					panic(err)
-				}
-				return v
-			}
-		}
-		if err := in.rt.RegisterReduction(decl); err != nil {
-			return nil, runtimeErr(err)
-		}
-		return nil, nil
-	})
-
-	reg(gen, "reduce_init", false, func(th *Thread, args []Value) (Value, error) {
-		ident, ok := args[0].(string)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "reduction identifier must be a string")
-		}
-		d, found := th.in.rt.LookupReduction(ident)
-		if !found {
-			return nil, nameErrorf(minipy.Position{}, "reduction %q is not declared", ident)
-		}
-		if d.Identity == nil {
-			return nil, nil
-		}
-		return d.Identity(), nil
-	})
-
-	reg(gen, "reduce_combine", false, func(th *Thread, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return nil, typeErrorf(minipy.Position{}, "reduce_combine expects 3 arguments")
-		}
-		ident, ok := args[0].(string)
-		if !ok {
-			return nil, typeErrorf(minipy.Position{}, "reduction identifier must be a string")
-		}
-		d, found := th.in.rt.LookupReduction(ident)
-		if !found {
-			return nil, nameErrorf(minipy.Position{}, "reduction %q is not declared", ident)
-		}
-		th.ctx.ReductionMerge(ident)
-		return d.Combine(args[1], args[2]), nil
-	})
-
-	for name, v := range user {
-		gen[name] = v
+		gen[spec.Name] = &Builtin{Name: spec.Name, Sig: argsBy(ompabi.Entry(e).Arity()), Fn: fn,
+			ReleasesGIL: spec.ReleasesGIL}
 	}
 
 	in.modules["omp4py"] = &Module{Name: "omp4py", Attrs: user}
@@ -707,12 +172,436 @@ func (in *Interp) installOmpModule() {
 	// the layer is fixed per interpreter instance, so it aliases the
 	// same module here.
 	in.modules["omp4py.pure"] = in.modules["omp4py"]
-	ompMod := &Module{Name: "__omp", Attrs: gen}
-	in.modules["__omp"] = ompMod
-	in.globals.DefineValue("__omp", ompMod)
+	ompMod := &Module{Name: ompabi.Module, Attrs: gen}
+	in.modules[ompabi.Module] = ompMod
+	in.globals.DefineValue(ompabi.Module, ompMod)
 	// The omp name itself is importable from omp4py and predefined
 	// so decorated-but-untransformed code still parses and runs.
 	in.globals.DefineValue("omp", user["omp"])
+}
+
+// argError is the TypeError for argument i of a call to e not being of
+// the kind the table declares. Implementations reach it on their
+// failure path only.
+func argError(e ompabi.Entry, i int, v Value) error {
+	return &PyError{Type: "TypeError", Msg: e.KindError(i, TypeName(v))}
+}
+
+func callable(v Value) bool {
+	switch v.(type) {
+	case *Function, *Builtin, *BoundMethod:
+		return true
+	}
+	return false
+}
+
+// ompEntries returns the implementation of every __omp entry, indexed
+// by ompabi.Entry. Each is stored as the entry's Builtin.Fn directly:
+// for_next, for_last, lin_lo and lin_hi run once per claimed chunk.
+func ompEntries() [ompabi.NumEntries]builtinFn {
+	return [ompabi.NumEntries]builtinFn{
+		ompabi.ParallelRun: func(th *Thread, args []Value) (Value, error) {
+			fn := args[0]
+			if !callable(fn) {
+				return nil, argError(ompabi.ParallelRun, 0, fn)
+			}
+			n, ok := asInt(args[1])
+			if !ok {
+				return nil, argError(ompabi.ParallelRun, 1, args[1])
+			}
+			opts := rt.ParallelOpts{NumThreads: int(max(n, 0))}
+			if Truthy(args[2]) {
+				opts.IfSet, opts.If = true, Truthy(args[3])
+			}
+			if len(args) > 4 {
+				if opts.Label, ok = args[4].(string); !ok {
+					return nil, argError(ompabi.ParallelRun, 4, args[4])
+				}
+			}
+			return nil, runtimeErr(th.in.rt.Parallel(th.ctx, opts, func(c *rt.Context) error {
+				return th.in.runOn(c, fn)
+			}))
+		},
+
+		ompabi.ForBounds: func(th *Thread, args []Value) (Value, error) {
+			trips := make([]rt.Triplet, 0, len(args)/3)
+			for i := 0; i < len(args); i += 3 {
+				var t [3]int64
+				for j := range t {
+					v, ok := asInt(args[i+j])
+					if !ok {
+						return nil, argError(ompabi.ForBounds, i+j, args[i+j])
+					}
+					t[j] = v
+				}
+				if t[2] == 0 {
+					return nil, FaultStep.Err(minipy.Position{})
+				}
+				trips = append(trips, rt.Triplet{Start: t[0], End: t[1], Step: t[2]})
+			}
+			return &BoundsVal{B: rt.ForBounds(trips...)}, nil
+		},
+
+		ompabi.ForInit: func(th *Thread, args []Value) (Value, error) {
+			b, ok := args[0].(*BoundsVal)
+			if !ok {
+				return nil, argError(ompabi.ForInit, 0, args[0])
+			}
+			kindStr, ok := args[1].(string)
+			if !ok {
+				return nil, argError(ompabi.ForInit, 1, args[1])
+			}
+			opts := rt.ForOpts{Ordered: Truthy(args[3]), NoWait: Truthy(args[4])}
+			if kindStr != "" {
+				kind, err := directive.ParseScheduleKind(kindStr)
+				if err != nil {
+					return nil, valueErrorf(minipy.Position{}, "%v", err)
+				}
+				opts.SchedSet = true
+				opts.Sched.Kind = kind
+				// chunk is an int or None (the kind's default).
+				if chunk, ok := asInt(args[2]); ok {
+					if chunk < 1 {
+						return nil, valueErrorf(minipy.Position{}, "chunk size must be positive")
+					}
+					opts.Sched.Chunk = chunk
+				}
+			}
+			return nil, runtimeErr(th.ctx.ForInit(b.B, opts))
+		},
+
+		ompabi.ForNext: func(th *Thread, args []Value) (Value, error) {
+			if b, ok := args[0].(*BoundsVal); ok {
+				return b.B.ForNext(), nil
+			}
+			return nil, argError(ompabi.ForNext, 0, args[0])
+		},
+		ompabi.ForLast: func(th *Thread, args []Value) (Value, error) {
+			if b, ok := args[0].(*BoundsVal); ok {
+				return b.B.IsLast(), nil
+			}
+			return nil, argError(ompabi.ForLast, 0, args[0])
+		},
+		ompabi.ForEnd: func(th *Thread, args []Value) (Value, error) {
+			if b, ok := args[0].(*BoundsVal); ok {
+				return nil, runtimeErr(th.ctx.ForEnd(b.B))
+			}
+			return nil, argError(ompabi.ForEnd, 0, args[0])
+		},
+		ompabi.LinLo: func(th *Thread, args []Value) (Value, error) {
+			if b, ok := args[0].(*BoundsVal); ok {
+				return b.B.Lo, nil
+			}
+			return nil, argError(ompabi.LinLo, 0, args[0])
+		},
+		ompabi.LinHi: func(th *Thread, args []Value) (Value, error) {
+			if b, ok := args[0].(*BoundsVal); ok {
+				return b.B.Hi, nil
+			}
+			return nil, argError(ompabi.LinHi, 0, args[0])
+		},
+
+		ompabi.Unravel: func(th *Thread, args []Value) (Value, error) {
+			b, ok := args[0].(*BoundsVal)
+			if !ok {
+				return nil, argError(ompabi.Unravel, 0, args[0])
+			}
+			lin, ok := asInt(args[1])
+			if !ok {
+				return nil, argError(ompabi.Unravel, 1, args[1])
+			}
+			idx := b.B.Unravel(lin)
+			elts := make([]Value, len(idx))
+			for i, v := range idx {
+				elts[i] = v
+			}
+			return &Tuple{Elts: elts}, nil
+		},
+
+		ompabi.Barrier: func(th *Thread, args []Value) (Value, error) {
+			return nil, runtimeErr(th.ctx.Barrier())
+		},
+
+		ompabi.SingleBegin: func(th *Thread, args []Value) (Value, error) {
+			s, err := th.ctx.SingleBegin(Truthy(args[0]), Truthy(args[1]))
+			if err != nil {
+				return nil, runtimeErr(err)
+			}
+			th.singles = append(th.singles, s)
+			return s.Executes(), nil
+		},
+		ompabi.SingleCopyprivate: func(th *Thread, args []Value) (Value, error) {
+			if _, ok := args[0].(*Tuple); !ok {
+				return nil, argError(ompabi.SingleCopyprivate, 0, args[0])
+			}
+			s, err := innermost(th.singles, "single", ompabi.SingleCopyprivate)
+			if err != nil {
+				return nil, err
+			}
+			return nil, runtimeErr(s.CopyPrivate(args[0]))
+		},
+		ompabi.SingleEnd: func(th *Thread, args []Value) (Value, error) {
+			s, err := innermost(th.singles, "single", ompabi.SingleEnd)
+			if err != nil {
+				return nil, err
+			}
+			th.singles = th.singles[:len(th.singles)-1]
+			v, err := s.End()
+			return v, runtimeErr(err)
+		},
+
+		ompabi.SectionsBegin: func(th *Thread, args []Value) (Value, error) {
+			n, ok := asInt(args[0])
+			if !ok {
+				return nil, argError(ompabi.SectionsBegin, 0, args[0])
+			}
+			s, err := th.ctx.SectionsBegin(int(n), Truthy(args[1]))
+			if err != nil {
+				return nil, runtimeErr(err)
+			}
+			th.sections = append(th.sections, s)
+			return nil, nil
+		},
+		ompabi.SectionsNext: func(th *Thread, args []Value) (Value, error) {
+			s, err := innermost(th.sections, "sections", ompabi.SectionsNext)
+			if err != nil {
+				return nil, err
+			}
+			return s.Next(), nil
+		},
+		ompabi.SectionsLast: func(th *Thread, args []Value) (Value, error) {
+			s, err := innermost(th.sections, "sections", ompabi.SectionsLast)
+			if err != nil {
+				return nil, err
+			}
+			return s.IsLast(), nil
+		},
+		ompabi.SectionsEnd: func(th *Thread, args []Value) (Value, error) {
+			s, err := innermost(th.sections, "sections", ompabi.SectionsEnd)
+			if err != nil {
+				return nil, err
+			}
+			th.sections = th.sections[:len(th.sections)-1]
+			return nil, runtimeErr(s.End())
+		},
+
+		ompabi.Master: func(th *Thread, args []Value) (Value, error) {
+			return th.ctx.Master(), nil
+		},
+
+		ompabi.CriticalEnter: func(th *Thread, args []Value) (Value, error) {
+			name, ok := args[0].(string)
+			if !ok {
+				return nil, argError(ompabi.CriticalEnter, 0, args[0])
+			}
+			th.criticalEnter(name)
+			return nil, nil
+		},
+		ompabi.CriticalExit: func(th *Thread, args []Value) (Value, error) {
+			name, ok := args[0].(string)
+			if !ok {
+				return nil, argError(ompabi.CriticalExit, 0, args[0])
+			}
+			return nil, th.criticalExit(name)
+		},
+		ompabi.MutexLock: func(th *Thread, args []Value) (Value, error) {
+			th.criticalEnter(reductionMutex)
+			return nil, nil
+		},
+		ompabi.MutexUnlock: func(th *Thread, args []Value) (Value, error) {
+			return nil, th.criticalExit(reductionMutex)
+		},
+
+		// Go's memory model makes the runtime's synchronization points
+		// full fences; flush is a no-op beyond its ordering role.
+		ompabi.Flush: func(th *Thread, args []Value) (Value, error) { return nil, nil },
+
+		ompabi.TaskSubmit: func(th *Thread, args []Value) (Value, error) {
+			fn := args[0]
+			if !callable(fn) {
+				return nil, argError(ompabi.TaskSubmit, 0, fn)
+			}
+			opts := rt.TaskOpts{}
+			if Truthy(args[1]) {
+				opts.IfSet, opts.If = true, Truthy(args[2])
+			}
+			if Truthy(args[3]) {
+				opts.FinalSet, opts.Final = true, Truthy(args[4])
+			}
+			for i, kind := range []rt.DepKind{rt.DepIn, rt.DepOut, rt.DepInOut} {
+				if 5+i >= len(args) {
+					break
+				}
+				keys, ok := args[5+i].(*Tuple)
+				if !ok {
+					return nil, argError(ompabi.TaskSubmit, 5+i, args[5+i])
+				}
+				var err error
+				if opts.Depends, err = appendDepKeys(opts.Depends, keys, kind); err != nil {
+					return nil, err
+				}
+			}
+			return nil, runtimeErr(th.ctx.SubmitTask(opts, func(c *rt.Context) error {
+				return th.in.runOn(c, fn)
+			}))
+		},
+		ompabi.TaskWait: func(th *Thread, args []Value) (Value, error) {
+			return nil, runtimeErr(th.ctx.TaskWait())
+		},
+
+		ompabi.Taskloop: func(th *Thread, args []Value) (Value, error) {
+			fn := args[0]
+			if !callable(fn) {
+				return nil, argError(ompabi.Taskloop, 0, fn)
+			}
+			var n [5]int64 // start, stop, step, grainsize, num_tasks
+			for i := range n {
+				v, ok := asInt(args[1+i])
+				if !ok {
+					return nil, argError(ompabi.Taskloop, 1+i, args[1+i])
+				}
+				n[i] = v
+			}
+			if n[2] == 0 {
+				return nil, FaultStep.Err(minipy.Position{})
+			}
+			opts := rt.TaskLoopOpts{Grainsize: n[3], NumTasks: n[4], NoGroup: Truthy(args[6])}
+			if Truthy(args[7]) {
+				opts.IfSet, opts.If = true, Truthy(args[8])
+			}
+			if Truthy(args[9]) {
+				opts.FinalSet, opts.Final = true, Truthy(args[10])
+			}
+			b := rt.ForBounds(rt.Triplet{Start: n[0], End: n[1], Step: n[2]})
+			return nil, runtimeErr(th.ctx.TaskLoop(b, opts, func(c *rt.Context, lo, hi int64) error {
+				return th.in.runOn(c, fn, lo, hi)
+			}))
+		},
+
+		ompabi.TaskgroupBegin: func(th *Thread, args []Value) (Value, error) {
+			th.ctx.TaskgroupBegin()
+			return nil, nil
+		},
+		ompabi.TaskgroupEnd: func(th *Thread, args []Value) (Value, error) {
+			return nil, runtimeErr(th.ctx.TaskgroupEnd())
+		},
+
+		ompabi.OrderedBegin: func(th *Thread, args []Value) (Value, error) {
+			i, ok := asInt(args[0])
+			if !ok {
+				return nil, argError(ompabi.OrderedBegin, 0, args[0])
+			}
+			return nil, runtimeErr(th.ctx.OrderedBegin(i))
+		},
+		ompabi.OrderedEnd: func(th *Thread, args []Value) (Value, error) {
+			return nil, runtimeErr(th.ctx.OrderedEnd())
+		},
+
+		ompabi.DeclareReduction: func(th *Thread, args []Value) (Value, error) {
+			ident, ok := args[0].(string)
+			if !ok {
+				return nil, argError(ompabi.DeclareReduction, 0, args[0])
+			}
+			combiner, initFn := args[1], args[2]
+			if !callable(combiner) {
+				return nil, argError(ompabi.DeclareReduction, 1, combiner)
+			}
+			// The runtime calls the combiner and initializer from Go, on a
+			// thread of their own. An error they raise surfaces at merge
+			// time as a panic, which the runtime contains in a team.
+			in := th.in
+			call := func(fn Value, args ...Value) any {
+				tth := in.MainThread()
+				defer tth.Release()
+				v, err := tth.Call(fn, args, minipy.Position{})
+				if err != nil {
+					panic(err)
+				}
+				return v
+			}
+			decl := &rt.DeclaredReduction{Ident: ident, Combine: func(out, inVal any) any { return call(combiner, out, inVal) }}
+			if initFn != nil {
+				decl.Identity = func() any { return call(initFn) }
+			}
+			return nil, runtimeErr(in.rt.RegisterReduction(decl))
+		},
+		ompabi.ReduceInit: func(th *Thread, args []Value) (Value, error) {
+			d, err := th.declaredReduction(ompabi.ReduceInit, args[0])
+			if err != nil || d.Identity == nil {
+				return nil, err
+			}
+			return d.Identity(), nil
+		},
+		ompabi.ReduceCombine: func(th *Thread, args []Value) (Value, error) {
+			d, err := th.declaredReduction(ompabi.ReduceCombine, args[0])
+			if err != nil {
+				return nil, err
+			}
+			th.ctx.ReductionMerge(d.Ident)
+			return d.Combine(args[1], args[2]), nil
+		},
+	}
+}
+
+// runOn runs fn(args...) on a new thread of team context c: a team
+// member, a task or a taskloop chunk.
+func (in *Interp) runOn(c *rt.Context, fn Value, args ...Value) error {
+	th := in.spawn(c)
+	if in.gil != nil {
+		in.gil.acquire()
+		defer in.gil.release()
+	}
+	_, err := th.Call(fn, args, minipy.Position{})
+	return err
+}
+
+// innermost is the innermost construct on one of the thread's
+// construct stacks, the one entry e operates on.
+func innermost[T any](stack []T, construct string, e ompabi.Entry) (T, error) {
+	if len(stack) == 0 {
+		var none T
+		return none, runtimeErr(&rt.MisuseError{Construct: construct, Msg: e.String() + " outside " + construct})
+	}
+	return stack[len(stack)-1], nil
+}
+
+// reductionMutex is the critical section built-in reductions merge
+// under (mutex_lock/mutex_unlock).
+const reductionMutex = "__omp_reduction"
+
+// criticalEnter enters the named critical section and records it as
+// held by th.
+func (th *Thread) criticalEnter(name string) {
+	th.ctx.CriticalEnter(name)
+	th.critical = append(th.critical, name)
+}
+
+// criticalExit leaves the named critical section. Leaving one th does
+// not hold is a RuntimeError here: the runtime would unlock a mutex it
+// does not own, which Go treats as a fatal error, not a panic.
+func (th *Thread) criticalExit(name string) error {
+	n := len(th.critical)
+	if n == 0 || th.critical[n-1] != name {
+		return runtimeErr(&rt.MisuseError{Construct: "critical",
+			Msg: fmt.Sprintf("exit of critical section %q this thread is not in", name)})
+	}
+	th.critical = th.critical[:n-1]
+	th.ctx.CriticalExit(name)
+	return nil
+}
+
+// declaredReduction looks up the user-declared reduction named by v,
+// the ident argument of entry e.
+func (th *Thread) declaredReduction(e ompabi.Entry, v Value) (*rt.DeclaredReduction, error) {
+	ident, ok := v.(string)
+	if !ok {
+		return nil, argError(e, 0, v)
+	}
+	d, found := th.in.rt.LookupReduction(ident)
+	if !found {
+		return nil, nameErrorf(minipy.Position{}, "reduction %q is not declared", ident)
+	}
+	return d, nil
 }
 
 // WrapRuntimeError converts an internal/rt error into the
@@ -722,7 +611,8 @@ func (in *Interp) installOmpModule() {
 // call rt.Context methods without going through the bridge.
 func WrapRuntimeError(err error) error { return runtimeErr(err) }
 
-// runtimeErr converts runtime errors into MiniPy exceptions.
+// runtimeErr converts runtime errors into MiniPy exceptions; nil stays
+// nil.
 func runtimeErr(err error) error {
 	if err == nil {
 		return nil
@@ -755,11 +645,7 @@ func runtimeErr(err error) error {
 // operand arrives as a ("name", idx...) tuple and is flattened into a
 // canonical "name[i,j]" string so element keys compare by value
 // (tuples are reference values and would never match).
-func appendDepKeys(deps []rt.Dep, v Value, kind rt.DepKind) ([]rt.Dep, error) {
-	t, ok := v.(*Tuple)
-	if !ok {
-		return nil, typeErrorf(minipy.Position{}, "depend keys must be a tuple")
-	}
+func appendDepKeys(deps []rt.Dep, t *Tuple, kind rt.DepKind) ([]rt.Dep, error) {
 	for _, e := range t.Elts {
 		switch k := e.(type) {
 		case string:

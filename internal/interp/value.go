@@ -661,10 +661,14 @@ type Function struct {
 // Builtin is a function implemented in Go.
 type Builtin struct {
 	Name string
+	// Sig is the positional arity CallKw checks before Fn or FnKw
+	// runs; the zero Sig leaves the count to the implementation.
+	Sig Sig
 	// Fn receives the calling thread (for OMP context, GIL and
 	// allocation accounting) and the positional arguments.
 	Fn func(th *Thread, args []Value) (Value, error)
-	// FnKw, when set, handles calls that pass keyword arguments.
+	// FnKw, when set, handles calls that pass keyword arguments, and
+	// every call when Fn is nil.
 	FnKw func(th *Thread, args []Value, kwargs map[string]Value) (Value, error)
 	// ReleasesGIL marks runtime functions that block (barriers, task
 	// waits): the interpreter drops the GIL around the call the way
@@ -682,6 +686,7 @@ type Module struct {
 type BoundMethod struct {
 	Recv Value
 	Name string
+	Sig  Sig
 	Fn   func(th *Thread, recv Value, args []Value) (Value, error)
 }
 

@@ -245,6 +245,9 @@ func TestRuntimeErrorPosition(t *testing.T) {
 	for _, tc := range []struct{ source, excType string }{
 		{"a = 1\nb = a // 0\n", "ZeroDivisionError"},
 		{"import math\nb = math.sqrt(-1.0)\n", "ValueError"},
+		// A call with too few arguments used to panic the handler: the
+		// client saw EOF instead of a response.
+		{"from omp4py import *\nomp_set_num_threads()\n", "TypeError"},
 	} {
 		st, rr, apiErr := postRun(t, s, "errs", RunRequest{Source: tc.source, File: "oops.py"})
 		if st != http.StatusOK || rr.OK || apiErr == nil {

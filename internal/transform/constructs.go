@@ -5,6 +5,7 @@ import (
 
 	"github.com/omp4go/omp4go/internal/directive"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/ompabi"
 )
 
 // construct dispatches a block directive.
@@ -198,7 +199,7 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 }
 
 func isGeneratedName(name string) bool {
-	return len(name) >= 6 && name[:6] == "__omp_" || name == "__omp"
+	return len(name) >= 6 && name[:6] == "__omp_" || name == ompabi.Module
 }
 
 // reductionPieces builds the private initializer and the
@@ -245,24 +246,24 @@ func (tr *transformer) reductionPieces(op, shared, private, typ string, pos mini
 		// reduction mutex: another thread may already be merging.
 		init = &minipy.Try{
 			Body: []minipy.Stmt{
-				exprStmt(ompCall("mutex_lock")),
+				exprStmt(ompabi.Call(ompabi.MutexLock)),
 				assignStmt(private, sharedRef()),
 			},
-			Final: []minipy.Stmt{exprStmt(ompCall("mutex_unlock"))},
+			Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.MutexUnlock))},
 		}
 		mergeExpr = &minipy.Call{Fn: nameRef(op), Args: []minipy.Expr{sharedRef(), privRef()}}
 	default:
 		// User-declared reduction.
-		init = assignStmt(private, ompCall("reduce_init", strLit(op)))
-		mergeExpr = ompCall("reduce_combine", strLit(op), sharedRef(), privRef())
+		init = assignStmt(private, ompabi.Call(ompabi.ReduceInit, strLit(op)))
+		mergeExpr = ompabi.Call(ompabi.ReduceCombine, strLit(op), sharedRef(), privRef())
 	}
 	// try: __omp.mutex_lock(); shared = merge finally: __omp.mutex_unlock()
 	merge := &minipy.Try{
 		Body: []minipy.Stmt{
-			exprStmt(ompCall("mutex_lock")),
+			exprStmt(ompabi.Call(ompabi.MutexLock)),
 			assignStmt(shared, mergeExpr),
 		},
-		Final: []minipy.Stmt{exprStmt(ompCall("mutex_unlock"))},
+		Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.MutexUnlock))},
 	}
 	return init, merge, nil
 }
@@ -346,15 +347,9 @@ func wsLoopVarNames(stmts []minipy.Stmt) map[string]bool {
 		for _, s := range ss {
 			switch t := s.(type) {
 			case *minipy.While:
-				if call, ok := t.Cond.(*minipy.Call); ok {
-					if attr, ok := call.Fn.(*minipy.Attribute); ok && attr.Name == "for_next" {
-						if base, ok := attr.X.(*minipy.Name); ok && base.ID == "__omp" {
-							if len(t.Body) == 1 {
-								if f, ok := t.Body[0].(*minipy.For); ok {
-									markChunkLoop(f)
-								}
-							}
-						}
+				if e, _, ok := ompabi.Match(t.Cond); ok && e == ompabi.ForNext && len(t.Body) == 1 {
+					if f, ok := t.Body[0].(*minipy.For); ok {
+						markChunkLoop(f)
 					}
 				}
 				walk(t.Body)
@@ -446,7 +441,7 @@ func (tr *transformer) parallel(ctx *fnCtx, dir *directive.Directive, w *minipy.
 
 	out := append([]minipy.Stmt{}, plan.preOuter...)
 	out = append(out, fd,
-		exprStmt(ompCall("parallel_run", nameRef(fnName), numThreads, ifSet, ifVal,
+		exprStmt(ompabi.Call(ompabi.ParallelRun, nameRef(fnName), numThreads, ifSet, ifVal,
 			strLit("L"+strconv.Itoa(pos.Line)))))
 	return out, nil
 }
@@ -570,8 +565,8 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 	var out []minipy.Stmt
 	out = append(out, plan.preOuter...)
 	out = append(out, plan.preInner...)
-	out = append(out, assignStmt(bVar, ompCall("for_bounds", tripletArgs...)))
-	out = append(out, exprStmt(ompCall("for_init", nameRef(bVar), kindExpr, chunkExpr,
+	out = append(out, assignStmt(bVar, ompabi.Call(ompabi.ForBounds, tripletArgs...)))
+	out = append(out, exprStmt(ompabi.Call(ompabi.ForInit, nameRef(bVar), kindExpr, chunkExpr,
 		boolLit(ordered), boolLit(nowait))))
 
 	var chunkLoop minipy.Stmt
@@ -588,7 +583,7 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 		linVar := tr.fresh("lin")
 		idxVar := tr.fresh("idx")
 		inner := []minipy.Stmt{
-			assignStmt(idxVar, ompCall("unravel", nameRef(bVar), nameRef(linVar))),
+			assignStmt(idxVar, ompabi.Call(ompabi.Unravel, nameRef(bVar), nameRef(linVar))),
 		}
 		for d, lv := range loopVars {
 			inner = append(inner, assignStmt(lv,
@@ -596,24 +591,24 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 		}
 		inner = append(inner, tBody...)
 		iter := &minipy.Call{Fn: nameRef("range"), Args: []minipy.Expr{
-			ompCall("lin_lo", nameRef(bVar)),
-			ompCall("lin_hi", nameRef(bVar)),
+			ompabi.Call(ompabi.LinLo, nameRef(bVar)),
+			ompabi.Call(ompabi.LinHi, nameRef(bVar)),
 		}}
 		chunkLoop = &minipy.For{Target: nameRef(linVar), Iter: iter, Body: inner}
 	}
 
 	out = append(out, &minipy.While{
-		Cond: ompCall("for_next", nameRef(bVar)),
+		Cond: ompabi.Call(ompabi.ForNext, nameRef(bVar)),
 		Body: []minipy.Stmt{chunkLoop},
 	})
 	for _, lp := range plan.lastPriv {
 		out = append(out, &minipy.If{
-			Cond: ompCall("for_last", nameRef(bVar)),
+			Cond: ompabi.Call(ompabi.ForLast, nameRef(bVar)),
 			Body: []minipy.Stmt{assignStmt(lp[0], nameRef(lp[1]))},
 		})
 	}
 	out = append(out, plan.postInner...)
-	out = append(out, exprStmt(ompCall("for_end", nameRef(bVar))))
+	out = append(out, exprStmt(ompabi.Call(ompabi.ForEnd, nameRef(bVar))))
 	return out, nil
 }
 
@@ -676,12 +671,12 @@ func (tr *transformer) sections(ctx *fnCtx, dir *directive.Directive,
 	var out []minipy.Stmt
 	out = append(out, plan.preOuter...)
 	out = append(out, plan.preInner...)
-	out = append(out, exprStmt(ompCall("sections_begin",
+	out = append(out, exprStmt(ompabi.Call(ompabi.SectionsBegin,
 		intLit(int64(len(sectionBodies))), boolLit(nowait))))
 	loop := &minipy.While{
 		Cond: boolLit(true),
 		Body: []minipy.Stmt{
-			assignStmt(sVar, ompCall("sections_next")),
+			assignStmt(sVar, ompabi.Call(ompabi.SectionsNext)),
 			&minipy.If{
 				Cond: &minipy.Compare{L: nameRef(sVar), Ops: []string{"<"},
 					Rights: []minipy.Expr{intLit(0)}},
@@ -693,12 +688,12 @@ func (tr *transformer) sections(ctx *fnCtx, dir *directive.Directive,
 	out = append(out, loop)
 	for _, lp := range plan.lastPriv {
 		out = append(out, &minipy.If{
-			Cond: ompCall("sections_last"),
+			Cond: ompabi.Call(ompabi.SectionsLast),
 			Body: []minipy.Stmt{assignStmt(lp[0], nameRef(lp[1]))},
 		})
 	}
 	out = append(out, plan.postInner...)
-	out = append(out, exprStmt(ompCall("sections_end")))
+	out = append(out, exprStmt(ompabi.Call(ompabi.SectionsEnd)))
 	return out, nil
 }
 
@@ -735,22 +730,22 @@ func (tr *transformer) single(ctx *fnCtx, dir *directive.Directive, w *minipy.Wi
 			}
 		}
 		ifBody = append(ifBody,
-			exprStmt(ompCall("single_copyprivate", &minipy.TupleLit{Elts: elts})))
+			exprStmt(ompabi.Call(ompabi.SingleCopyprivate, &minipy.TupleLit{Elts: elts})))
 	}
 
 	var out []minipy.Stmt
 	out = append(out, plan.preOuter...)
-	out = append(out, assignStmt(wonVar, ompCall("single_begin", boolLit(nowait), boolLit(hasCP))))
+	out = append(out, assignStmt(wonVar, ompabi.Call(ompabi.SingleBegin, boolLit(nowait), boolLit(hasCP))))
 	out = append(out, &minipy.If{Cond: nameRef(wonVar), Body: ifBody})
 	if hasCP {
 		cpVar := tr.fresh("cp")
-		out = append(out, assignStmt(cpVar, ompCall("single_end")))
+		out = append(out, assignStmt(cpVar, ompabi.Call(ompabi.SingleEnd)))
 		for i, v := range cpVars {
 			out = append(out, assignStmt(v,
 				&minipy.Index{X: nameRef(cpVar), I: intLit(int64(i))}))
 		}
 	} else {
-		out = append(out, exprStmt(ompCall("single_end")))
+		out = append(out, exprStmt(ompabi.Call(ompabi.SingleEnd)))
 	}
 	out = append(out, plan.postInner...)
 	return out, nil
@@ -762,7 +757,7 @@ func (tr *transformer) master(ctx *fnCtx, w *minipy.With) ([]minipy.Stmt, error)
 		return nil, err
 	}
 	return []minipy.Stmt{
-		&minipy.If{Cond: ompCall("master"), Body: tBody},
+		&minipy.If{Cond: ompabi.Call(ompabi.Master), Body: tBody},
 	}, nil
 }
 
@@ -776,10 +771,10 @@ func (tr *transformer) critical(ctx *fnCtx, dir *directive.Directive, w *minipy.
 		return nil, err
 	}
 	return []minipy.Stmt{
-		exprStmt(ompCall("critical_enter", strLit(name))),
+		exprStmt(ompabi.Call(ompabi.CriticalEnter, strLit(name))),
 		&minipy.Try{
 			Body:  tBody,
-			Final: []minipy.Stmt{exprStmt(ompCall("critical_exit", strLit(name)))},
+			Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.CriticalExit, strLit(name)))},
 		},
 	}, nil
 }
@@ -811,10 +806,10 @@ func (tr *transformer) atomic(ctx *fnCtx, dir *directive.Directive, w *minipy.Wi
 	}
 	name := "__omp_atomic_" + root
 	return []minipy.Stmt{
-		exprStmt(ompCall("critical_enter", strLit(name))),
+		exprStmt(ompabi.Call(ompabi.CriticalEnter, strLit(name))),
 		&minipy.Try{
 			Body:  []minipy.Stmt{w.Body[0]},
-			Final: []minipy.Stmt{exprStmt(ompCall("critical_exit", strLit(name)))},
+			Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.CriticalExit, strLit(name)))},
 		},
 	}, nil
 }
@@ -841,10 +836,10 @@ func (tr *transformer) ordered(ctx *fnCtx, w *minipy.With) ([]minipy.Stmt, error
 		return nil, err
 	}
 	return []minipy.Stmt{
-		exprStmt(ompCall("ordered_begin", nameRef(ctx.loopVar))),
+		exprStmt(ompabi.Call(ompabi.OrderedBegin, nameRef(ctx.loopVar))),
 		&minipy.Try{
 			Body:  tBody,
-			Final: []minipy.Stmt{exprStmt(ompCall("ordered_end"))},
+			Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.OrderedEnd))},
 		},
 	}, nil
 }
@@ -918,7 +913,7 @@ func (tr *transformer) task(ctx *fnCtx, dir *directive.Directive, w *minipy.With
 			&minipy.TupleLit{Elts: depOut},
 			&minipy.TupleLit{Elts: depInout})
 	}
-	out = append(out, fd, exprStmt(ompCall("task_submit", callArgs...)))
+	out = append(out, fd, exprStmt(ompabi.Call(ompabi.TaskSubmit, callArgs...)))
 	return out, nil
 }
 
@@ -957,10 +952,10 @@ func (tr *transformer) taskgroup(ctx *fnCtx, w *minipy.With) ([]minipy.Stmt, err
 		return nil, err
 	}
 	return []minipy.Stmt{
-		exprStmt(ompCall("taskgroup_begin")),
+		exprStmt(ompabi.Call(ompabi.TaskgroupBegin)),
 		&minipy.Try{
 			Body:  tBody,
-			Final: []minipy.Stmt{exprStmt(ompCall("taskgroup_end"))},
+			Final: []minipy.Stmt{exprStmt(ompabi.Call(ompabi.TaskgroupEnd))},
 		},
 	}, nil
 }
@@ -1089,7 +1084,7 @@ func (tr *transformer) taskloop(ctx *fnCtx, dir *directive.Directive, w *minipy.
 		assignStmt(stopVar, stop),
 		assignStmt(stepVar, step),
 		fd,
-		exprStmt(ompCall("taskloop", nameRef(fnName),
+		exprStmt(ompabi.Call(ompabi.Taskloop, nameRef(fnName),
 			nameRef(startVar), nameRef(stopVar), nameRef(stepVar),
 			gsExpr, ntExpr, boolLit(dir.Has(directive.ClauseNogroup)),
 			ifSet, ifVal, finalSet, finalVal)))

@@ -13,6 +13,7 @@ import (
 
 	"github.com/omp4go/omp4go/internal/directive"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/ompabi"
 )
 
 // FuncOptions are the per-function options accepted by the @omp
@@ -329,11 +330,11 @@ func callDirective(e minipy.Expr) (string, bool) {
 func (tr *transformer) standalone(ctx *fnCtx, dir *directive.Directive, pos minipy.Position) ([]minipy.Stmt, error) {
 	switch dir.Name {
 	case directive.NameBarrier:
-		return []minipy.Stmt{exprStmt(ompCall("barrier"))}, nil
+		return []minipy.Stmt{exprStmt(ompabi.Call(ompabi.Barrier))}, nil
 	case directive.NameTaskwait:
-		return []minipy.Stmt{exprStmt(ompCall("task_wait"))}, nil
+		return []minipy.Stmt{exprStmt(ompabi.Call(ompabi.TaskWait))}, nil
 	case directive.NameFlush:
-		return []minipy.Stmt{exprStmt(ompCall("flush"))}, nil
+		return []minipy.Stmt{exprStmt(ompabi.Call(ompabi.Flush))}, nil
 	case directive.NameThreadprivate:
 		if cl := dir.Find(directive.ClauseFlushList); cl != nil {
 			for _, v := range cl.Vars {
@@ -365,7 +366,7 @@ func (tr *transformer) declareReduction(dir *directive.Directive, pos minipy.Pos
 		}
 		initArg = &minipy.Lambda{Body: initExpr}
 	}
-	call := ompCall("declare_reduction", strLit(dr.Ident), combLambda, initArg)
+	call := ompabi.Call(ompabi.DeclareReduction, strLit(dr.Ident), combLambda, initArg)
 	return []minipy.Stmt{exprStmt(call)}, nil
 }
 
@@ -377,14 +378,6 @@ func intLit(n int64) *minipy.IntLit           { return &minipy.IntLit{V: n} }
 func boolLit(b bool) *minipy.BoolLit          { return &minipy.BoolLit{V: b} }
 func exprStmt(e minipy.Expr) *minipy.ExprStmt { return &minipy.ExprStmt{X: e} }
 func noneLit() *minipy.NoneLit                { return &minipy.NoneLit{} }
-
-// ompCall builds __omp.fn(args...).
-func ompCall(fn string, args ...minipy.Expr) *minipy.Call {
-	return &minipy.Call{
-		Fn:   &minipy.Attribute{X: nameRef("__omp"), Name: fn},
-		Args: args,
-	}
-}
 
 func assignStmt(target string, v minipy.Expr) *minipy.Assign {
 	return &minipy.Assign{Targets: []minipy.Expr{nameRef(target)}, Value: v}

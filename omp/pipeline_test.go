@@ -189,17 +189,32 @@ def fast(n: int) -> int:
 // that raised it, the same one in every mode: the builtin itself has no
 // source position, so the call site stamps it (interp.Thread.CallKw).
 func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
-	cases := []struct {
+	type callCase struct {
 		name, call, excType string
 		col                 int
-	}{
+	}
+	cases := []callCase{
 		// A call's position is its opening parenthesis.
 		{"math.sqrt", "math.sqrt(x - 2.0)", "ValueError", 18},
 		{"int", `int("zz")`, "ValueError", 12},
 		{"len", "len(n)", "TypeError", 12},
 	}
+	// Calls with too few arguments, which indexed past the argument
+	// slice and panicked, and arguments of a kind the runtime ABI table
+	// rejects, which the runtime used to take silently (the unnamed
+	// critical section for None, no label for 7).
+	for _, call := range []string{
+		"omp_set_num_threads()", "omp_get_team_size()", "omp_set_nested()",
+		"omp_set_lock()", "omp_unset_lock()",
+		"__omp.for_next()", "__omp.unravel()", "__omp.single_begin(True)",
+		"__omp.sections_begin(2)", "__omp.critical_enter()", "__omp.reduce_init()",
+		"__omp.ordered_begin()", "math.floor()", "time.sleep()",
+		"__omp.critical_enter(None)", "__omp.parallel_run(f, 2, False, False, 7)",
+	} {
+		cases = append(cases, callCase{call, call, "TypeError", 9 + strings.Index(call, "(")})
+	}
 	for _, tc := range cases {
-		src := "import math\n\ndef f(n: int, x: float):\n    pad = 0\n    v = " + tc.call + "\n    return v\n"
+		src := "import math\nimport time\nfrom omp4py import *\ndef f(n: int, x: float):\n    pad = 0\n    v = " + tc.call + "\n    return v\n"
 		for _, mode := range []Mode{ModePure, ModeHybrid, ModeCompiled, ModeCompiledDT} {
 			p, err := Load(src, "pos.py", mode)
 			if err != nil {
@@ -210,8 +225,8 @@ func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
 			if !errors.As(err, &pe) {
 				t.Fatalf("%s %v: error %v is not a PyError", tc.name, mode, err)
 			}
-			if pe.Type != tc.excType || pe.Pos.Line != 5 || pe.Pos.Col+1 != tc.col {
-				t.Errorf("%s %v: %s at line %d col %d, want %s at line 5 col %d (%v)",
+			if pe.Type != tc.excType || pe.Pos.Line != 6 || pe.Pos.Col+1 != tc.col {
+				t.Errorf("%s %v: %s at line %d col %d, want %s at line 6 col %d (%v)",
 					tc.name, mode, pe.Type, pe.Pos.Line, pe.Pos.Col+1, tc.excType, tc.col, err)
 			}
 		}
