@@ -27,6 +27,7 @@ endef
 # race is the race-detector gate. The runtime, tracing, serving and
 # public-API packages run whole: that covers the task-dataflow
 # differential (dependence, taskgroup, taskloop and task-error tests,
+# the error-order stress test running its dependence chain 200 times,
 # each iterating both task schedulers, the wavefront differential
 # asserting bit-identical floats between them), the static-partition
 # and reduction-slot tests and the compiled quota kill. internal/compile
@@ -92,11 +93,15 @@ mpi-smoke:
 # verify is the CI gate: static checks, the tier-1 tests, the smoke and
 # race tables, the real-binary MPI smoke, a single-iteration run of the
 # region-overhead benchmark so a dispatch regression fails loudly, and
-# a bounded fuzz of every Go-implemented callable MiniPy can reach.
+# bounded fuzzing of every Go-implemented callable MiniPy can reach, of
+# the MiniPy parser with its unparse fixpoint, and of the directive
+# parser.
 verify: vet smoke race mpi-smoke
 	$(GO) test ./...
 	$(GO) test -run=NONE -bench=BenchmarkRegionOverhead -benchtime=1x -timeout 120s ./internal/rt/
 	$(GO) test -run=NONE -fuzz=FuzzCallBuiltin -fuzztime=15s ./internal/interp/
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/minipy/
+	$(GO) test -run=NONE -fuzz=FuzzDirective -fuzztime=15s ./internal/directive/
 
 # loc prints the non-test .go lines of every package of this module
 # (benchmark/ is its own module and is not counted).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies directive-string tokens.
@@ -54,7 +55,8 @@ func errf(raw string, pos int, format string, args ...any) error {
 // lex tokenizes a directive string. Directive strings are short; the
 // lexer keeps the whole token slice in memory.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Directives average over 3 bytes per token.
+	toks := make([]token, 0, len(src)/3+2)
 	i := 0
 	n := len(src)
 	for i < n {
@@ -82,11 +84,11 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{tokOp, src[i : i+2], i})
 				i += 2
 			} else {
-				toks = append(toks, token{tokOp, string(c), i})
+				toks = append(toks, token{tokOp, src[i : i+1], i})
 				i++
 			}
 		case c == '+' || c == '*' || c == '-' || c == '^':
-			toks = append(toks, token{tokOp, string(c), i})
+			toks = append(toks, token{tokOp, src[i : i+1], i})
 			i++
 		case isIdentStart(rune(c)):
 			j := i + 1
@@ -107,7 +109,11 @@ func lex(src string) ([]token, error) {
 			// Other characters (e.g. operators inside if() expressions)
 			// are tolerated as opaque single-char tokens; balanced-paren
 			// expression scanning handles them.
-			toks = append(toks, token{tokOther, string(c), i})
+			text := src[i : i+1]
+			if c >= utf8.RuneSelf {
+				text = string(rune(c)) // quoted as Latin-1 in error messages
+			}
+			toks = append(toks, token{tokOther, text, i})
 			i++
 		}
 	}

@@ -42,8 +42,8 @@ func (p *parser) errf(format string, args ...any) error {
 	return errf(p.raw, p.cur().pos, format, args...)
 }
 
-// directiveWords maps the canonical name to its word sequence.
-// Multi-word names are matched greedily, longest first.
+// directiveNames lists the canonical names in matching order: names
+// of more words first, so the longest name matches.
 var directiveNames = []Name{
 	NameDeclareReduction,
 	NameParallelSections,
@@ -66,48 +66,54 @@ var directiveNames = []Name{
 	NameFor,
 }
 
-// splitWords expands an identifier that may contain underscores into
-// its component words ("parallel_for" -> ["parallel","for"]). Plain
-// identifiers yield themselves.
-func splitWords(ident string) []string {
-	if !strings.Contains(ident, "_") {
-		return []string{ident}
-	}
-	parts := strings.Split(ident, "_")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			out = append(out, p)
+// maxNameWords is the most words a directive name has.
+const maxNameWords = 2
+
+// directiveWords holds the words of each of directiveNames.
+var directiveWords = func() [][]string {
+	out := make([][]string, len(directiveNames))
+	for i, name := range directiveNames {
+		out[i] = strings.Fields(string(name))
+		if len(out[i]) > maxNameWords {
+			panic("directive: name " + string(name) + " has more than maxNameWords words")
 		}
 	}
-	if len(out) == 0 {
-		return []string{ident}
-	}
 	return out
-}
+}()
 
-// matchName consumes the directive name from the token stream.
+// matchName consumes the directive name from the token stream. The
+// leading identifiers are read as lower-case words split at
+// underscores ("parallel_for" is "parallel", "for"; an identifier of
+// underscores alone is one word), so combined names match regardless
+// of spelling.
 func (p *parser) matchName() (Name, error) {
 	if p.cur().kind != tokIdent {
 		return "", p.errf("expected directive name, found %s", p.cur())
 	}
-	// Gather up to three leading identifier words (splitting
-	// underscores) so combined names match regardless of spelling.
-	var words []string
-	var consumed []int // token count consumed per flattened word group
-	for j := p.i; j < len(p.toks) && len(words) < 3; j++ {
-		if p.toks[j].kind != tokIdent {
-			break
+	// The first maxNameWords words, and per word the number of tokens
+	// read up to and including its own.
+	var words [maxNameWords]string
+	var consumed [maxNameWords]int
+	n := 0
+	for j := p.i; j < len(p.toks) && p.toks[j].kind == tokIdent && n < len(words); j++ {
+		ident := strings.ToLower(p.toks[j].text)
+		split := false
+		for rest := ident; rest != "" && n < len(words); {
+			var w string
+			w, rest, _ = strings.Cut(rest, "_")
+			if w != "" {
+				words[n], consumed[n] = w, j-p.i+1
+				n++
+				split = true
+			}
 		}
-		ws := splitWords(strings.ToLower(p.toks[j].text))
-		words = append(words, ws...)
-		for range ws {
-			consumed = append(consumed, j-p.i+1)
+		if !split && n < len(words) {
+			words[n], consumed[n] = ident, j-p.i+1
+			n++
 		}
 	}
-	for _, name := range directiveNames {
-		nw := strings.Fields(string(name))
-		if len(nw) > len(words) {
+	for i, nw := range directiveWords {
+		if len(nw) > n {
 			continue
 		}
 		ok := true
@@ -119,7 +125,7 @@ func (p *parser) matchName() (Name, error) {
 		}
 		if ok {
 			p.i += consumed[len(nw)-1]
-			return name, nil
+			return directiveNames[i], nil
 		}
 	}
 	return "", p.errf("unknown directive %q", p.cur().text)
@@ -186,11 +192,10 @@ func (p *parser) parseDirective() (*Directive, error) {
 			p.next() // OpenMP 6.0: commas/semicolons may separate clauses
 			continue
 		case tokIdent:
-			c, err := p.parseClause()
-			if err != nil {
+			d.Clauses = append(d.Clauses, Clause{})
+			if err := p.parseClause(&d.Clauses[len(d.Clauses)-1]); err != nil {
 				return nil, err
 			}
-			d.Clauses = append(d.Clauses, *c)
 		default:
 			return nil, p.errf("unexpected %s in directive", p.cur())
 		}
@@ -253,19 +258,20 @@ var clauseKeywords = map[string]ClauseKind{
 	"nogroup":      ClauseNogroup,
 }
 
-func (p *parser) parseClause() (*Clause, error) {
+// parseClause parses one clause into c.
+func (p *parser) parseClause(c *Clause) error {
 	kw := strings.ToLower(p.cur().text)
 	kind, ok := clauseKeywords[kw]
 	if !ok {
-		return nil, p.errf("unknown clause %q", p.cur().text)
+		return p.errf("unknown clause %q", p.cur().text)
 	}
 	p.next()
-	c := &Clause{Kind: kind}
+	c.Kind = kind
 	switch kind {
 	case ClauseIf, ClauseNumThreads, ClauseFinal:
 		expr, ni, err := scanBalancedExpr(p.raw, p.toks, p.i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.i = ni
 		// OpenMP 6.0 allows a directive-name modifier: if(task: expr).
@@ -276,13 +282,13 @@ func (p *parser) parseClause() (*Clause, error) {
 			}
 		}
 		if expr == "" {
-			return nil, p.errf("%s clause requires an expression", kind)
+			return p.errf("%s clause requires an expression", kind)
 		}
 		c.Expr = expr
 	case ClauseDefault:
 		arg, ni, err := scanBalancedExpr(p.raw, p.toks, p.i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.i = ni
 		switch strings.ToLower(arg) {
@@ -295,49 +301,49 @@ func (p *parser) parseClause() (*Clause, error) {
 		case "firstprivate":
 			c.Default = DefaultFirstprivate
 		default:
-			return nil, p.errf("invalid default(%s); want shared, none, private or firstprivate", arg)
+			return p.errf("invalid default(%s); want shared, none, private or firstprivate", arg)
 		}
 	case ClausePrivate, ClauseFirstprivate, ClauseLastprivate, ClauseShared,
 		ClauseCopyin, ClauseCopyprivate:
 		vars, err := p.parseParenVarList()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(vars) == 0 {
-			return nil, p.errf("%s clause requires at least one variable", kind)
+			return p.errf("%s clause requires at least one variable", kind)
 		}
 		c.Vars = vars
 	case ClauseReduction:
 		if err := p.parseReductionArgs(c); err != nil {
-			return nil, err
+			return err
 		}
 	case ClauseDepend:
 		if err := p.parseDependArgs(c); err != nil {
-			return nil, err
+			return err
 		}
 	case ClauseGrainsize, ClauseNumTasks:
 		expr, ni, err := scanBalancedExpr(p.raw, p.toks, p.i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.i = ni
 		if strings.TrimSpace(expr) == "" {
-			return nil, p.errf("%s clause requires an expression", kind)
+			return p.errf("%s clause requires an expression", kind)
 		}
 		c.Expr = strings.TrimSpace(expr)
 	case ClauseSchedule:
 		if err := p.parseScheduleArgs(c); err != nil {
-			return nil, err
+			return err
 		}
 	case ClauseCollapse:
 		expr, ni, err := scanBalancedExpr(p.raw, p.toks, p.i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.i = ni
 		n, err := strconv.Atoi(strings.TrimSpace(expr))
 		if err != nil || n < 1 {
-			return nil, p.errf("collapse requires a positive integer constant, got %q", expr)
+			return p.errf("collapse requires a positive integer constant, got %q", expr)
 		}
 		c.Expr = strconv.Itoa(n)
 	case ClauseOrdered, ClauseUntied, ClauseMergeable, ClauseNogroup:
@@ -347,13 +353,13 @@ func (p *parser) parseClause() (*Clause, error) {
 		if p.cur().kind == tokLParen {
 			expr, ni, err := scanBalancedExpr(p.raw, p.toks, p.i)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			p.i = ni
 			c.Expr = expr
 		}
 	}
-	return c, nil
+	return nil
 }
 
 func isDirectiveModifier(s string) bool {

@@ -311,6 +311,24 @@ func TestValidationDataSharingConflicts(t *testing.T) {
 	mustFail(t, "parallel for reduction(+:x) private(x)", "appears in both")
 	// firstprivate + lastprivate on the same variable is conforming.
 	mustParse(t, "for firstprivate(x) lastprivate(x)")
+	// The same rules for variable lists on both sides of the length at
+	// which validate's variable table moves from a scan to a map.
+	vars := func(n int) string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = "v" + strings.Repeat("x", i)
+		}
+		return strings.Join(names, ", ")
+	}
+	for _, n := range []int{7, 8, 9, 40} {
+		list := vars(n)
+		mustParse(t, "parallel private("+list+") shared(w)")
+		mustParse(t, "for firstprivate("+list+") lastprivate("+list+")")
+		mustFail(t, "parallel private("+list+") shared(v)", `variable "v" appears in both private and shared`)
+		mustFail(t, "parallel private("+list+") shared("+list+")", `variable "v" appears in both`)
+		last := "v" + strings.Repeat("x", n-1)
+		mustFail(t, "parallel for private("+list+") reduction(+:"+last+")", `variable "`+last+`" appears in both private and reduction`)
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -8,13 +8,16 @@ import (
 	"github.com/omp4go/omp4go/internal/minipy"
 )
 
-func (in *Interp) installBuiltins() {
-	reg := func(name string, sig Sig, fn func(th *Thread, args []Value) (Value, error)) {
-		in.globals.DefineValue(name, &Builtin{Name: name, Sig: sig, Fn: fn})
+// globalBuiltins returns the builtin functions and exception
+// constructors the globals of every interpreter start with.
+func globalBuiltins() []*Builtin {
+	var out []*Builtin
+	reg := func(name string, sig Sig, fn builtinFn) {
+		out = append(out, &Builtin{Name: name, Sig: sig, Fn: fn})
 	}
 	regKw := func(name string, sig Sig,
 		fnKw func(th *Thread, args []Value, kwargs map[string]Value) (Value, error)) {
-		in.globals.DefineValue(name, &Builtin{Name: name, Sig: sig, FnKw: fnKw})
+		out = append(out, &Builtin{Name: name, Sig: sig, FnKw: fnKw})
 	}
 
 	reg("range", Args(1, 3), func(th *Thread, args []Value) (Value, error) {
@@ -389,6 +392,7 @@ func (in *Interp) installBuiltins() {
 			return &ExcValue{Type: excName, Msg: msg}, nil
 		})
 	}
+	return out
 }
 
 func printImpl(th *Thread, args []Value, kwargs map[string]Value) (Value, error) {

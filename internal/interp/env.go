@@ -37,11 +37,6 @@ func NewEnv(parent *Env) *Env {
 	return &Env{vars: make(map[string]*Cell), parent: parent}
 }
 
-// NewGlobalEnv creates a module-level environment (thread-safe map).
-func NewGlobalEnv() *Env {
-	return &Env{vars: make(map[string]*Cell), shared: true}
-}
-
 // Define creates (or returns) the local cell for name in this env.
 func (e *Env) Define(name string) *Cell {
 	if e.shared {

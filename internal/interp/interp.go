@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/omp4go/omp4go/internal/minipy"
 	"github.com/omp4go/omp4go/internal/rt"
@@ -58,6 +59,12 @@ type Interp struct {
 
 	modules map[string]*Module
 
+	// rand is the random module's xorshift state, guarded by randMu;
+	// epoch is time.perf_counter's zero.
+	randMu sync.Mutex
+	rand   uint64
+	epoch  time.Time
+
 	compileHook func(fd *minipy.FuncDef, fn *Function)
 }
 
@@ -66,13 +73,16 @@ func New(opts Options) *Interp {
 	if opts.Stdout == nil {
 		opts.Stdout = os.Stdout
 	}
+	modules := newModules()
 	in := &Interp{
 		opts:    opts,
-		globals: NewGlobalEnv(),
+		globals: newGlobals(modules),
 		rt:      rt.NewWithEnv(opts.Layer, opts.Getenv),
 		stdout:  opts.Stdout,
 		scopes:  make(map[*minipy.FuncDef]*minipy.ScopeInfo),
-		modules: make(map[string]*Module),
+		modules: modules,
+		rand:    randSeed,
+		epoch:   time.Now(),
 	}
 	if opts.GIL {
 		interval := opts.GILCheckInterval
@@ -81,8 +91,6 @@ func New(opts Options) *Interp {
 		}
 		in.gil = newGIL(interval)
 	}
-	in.installBuiltins()
-	in.installModules()
 	return in
 }
 

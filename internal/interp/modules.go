@@ -2,18 +2,76 @@ package interp
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/ompabi"
 )
 
-func (in *Interp) installModules() {
-	in.modules["math"] = in.mathModule()
-	in.modules["time"] = in.timeModule()
-	in.modules["random"] = in.randomModule()
-	in.modules["sys"] = in.sysModule()
-	in.installOmpModule()
+// prelude is what every interpreter starts from, built once per
+// process: the global builtins and the builtin modules. No Builtin in
+// it keeps state of its own (random's and time's live on the Interp,
+// reached through the calling Thread), so all interpreters share
+// them. What a program can assign to, a global binding or a module
+// attribute, each interpreter copies (newGlobals, newModules).
+var prelude = func() (p struct {
+	globals []*Builtin
+	modules []moduleProto
+}) {
+	user, gen := ompModules()
+	// The omp name itself is importable from omp4py and predefined so
+	// decorated-but-untransformed code still parses and runs.
+	p.globals = append(globalBuiltins(), user.Attrs["omp"].(*Builtin))
+	for _, m := range []*Module{mathModule(), timeModule(), randomModule(), sysModule(), user, gen} {
+		proto := moduleProto{name: m.Name}
+		for name, v := range m.Attrs {
+			proto.attrs = append(proto.attrs, attr{name, v})
+		}
+		p.modules = append(p.modules, proto)
+	}
+	return p
+}()
+
+// moduleProto is a prelude module with its attributes as a list, from
+// which a map builds in half the time a map clone takes.
+type moduleProto struct {
+	name  string
+	attrs []attr
+}
+
+type attr struct {
+	name string
+	v    Value
+}
+
+// newGlobals returns a fresh module-level environment holding the
+// prelude's globals, __omp among them.
+func newGlobals(modules map[string]*Module) *Env {
+	env := &Env{vars: make(map[string]*Cell, len(prelude.globals)+1), shared: true}
+	cells := make([]Cell, len(prelude.globals))
+	for i, b := range prelude.globals {
+		cells[i] = Cell{v: b, set: true}
+		env.vars[b.Name] = &cells[i]
+	}
+	env.DefineValue(ompabi.Module, modules[ompabi.Module])
+	return env
+}
+
+// newModules returns a copy of each prelude module.
+func newModules() map[string]*Module {
+	mods := make(map[string]*Module, len(prelude.modules)+1)
+	for _, proto := range prelude.modules {
+		m := &Module{Name: proto.name, Attrs: make(map[string]Value, len(proto.attrs))}
+		for _, a := range proto.attrs {
+			m.Attrs[a.name] = a.v
+		}
+		mods[m.Name] = m
+	}
+	// omp4py.pure is the explicit Python-runtime import of §III-F; the
+	// layer is fixed per interpreter instance, so it aliases the same
+	// module here.
+	mods["omp4py.pure"] = mods["omp4py"]
+	return mods
 }
 
 // RegisterModule installs an extra builtin module (the bench package
@@ -45,7 +103,7 @@ func mathFn1(name string, fn func(float64) float64) (string, Value) {
 	}}
 }
 
-func (in *Interp) mathModule() *Module {
+func mathModule() *Module {
 	attrs := map[string]Value{
 		"pi":  math.Pi,
 		"e":   math.E,
@@ -121,14 +179,13 @@ func (in *Interp) mathModule() *Module {
 	return &Module{Name: "math", Attrs: attrs}
 }
 
-func (in *Interp) timeModule() *Module {
-	epoch := time.Now()
+func timeModule() *Module {
 	return &Module{Name: "time", Attrs: map[string]Value{
 		"time": &Builtin{Name: "time", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
 			return float64(time.Now().UnixNano()) / 1e9, nil
 		}},
 		"perf_counter": &Builtin{Name: "perf_counter", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
-			return time.Since(epoch).Seconds(), nil
+			return time.Since(th.in.epoch).Seconds(), nil
 		}},
 		"sleep": &Builtin{Name: "sleep", Sig: Args(1, 1), ReleasesGIL: true,
 			Fn: func(th *Thread, args []Value) (Value, error) {
@@ -142,21 +199,24 @@ func (in *Interp) timeModule() *Module {
 	}}
 }
 
+// randSeed is the random module's state before any random.seed().
+const randSeed = 0x9E3779B97F4A7C15
+
+// randNext advances the interpreter's xorshift state.
+func (in *Interp) randNext() uint64 {
+	in.randMu.Lock()
+	in.rand ^= in.rand << 13
+	in.rand ^= in.rand >> 7
+	in.rand ^= in.rand << 17
+	v := in.rand
+	in.randMu.Unlock()
+	return v
+}
+
 // randomModule is a deterministic xorshift-based stand-in for
 // CPython's Mersenne Twister; the artifact's data sets are "synthetic
 // data generated from a fixed seed".
-func (in *Interp) randomModule() *Module {
-	var mu sync.Mutex
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
-		mu.Lock()
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		v := state
-		mu.Unlock()
-		return v
-	}
+func randomModule() *Module {
 	return &Module{Name: "random", Attrs: map[string]Value{
 		"seed": &Builtin{Name: "seed", Sig: Args(0, 1), Fn: func(th *Thread, args []Value) (Value, error) {
 			n := int64(0)
@@ -167,16 +227,16 @@ func (in *Interp) randomModule() *Module {
 				}
 				n = v
 			}
-			mu.Lock()
-			state = uint64(n)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
-			if state == 0 {
-				state = 1
+			th.in.randMu.Lock()
+			th.in.rand = uint64(n)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
+			if th.in.rand == 0 {
+				th.in.rand = 1
 			}
-			mu.Unlock()
+			th.in.randMu.Unlock()
 			return nil, nil
 		}},
 		"random": &Builtin{Name: "random", Sig: Args(0, 0), Fn: func(th *Thread, args []Value) (Value, error) {
-			return float64(next()>>11) / float64(1<<53), nil
+			return float64(th.in.randNext()>>11) / float64(1<<53), nil
 		}},
 		"randint": &Builtin{Name: "randint", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 			a, ok1 := asInt(args[0])
@@ -184,7 +244,7 @@ func (in *Interp) randomModule() *Module {
 			if !ok1 || !ok2 || b < a {
 				return nil, valueErrorf(minipy.Position{}, "invalid randint bounds")
 			}
-			return a + int64(next()%uint64(b-a+1)), nil
+			return a + int64(th.in.randNext()%uint64(b-a+1)), nil
 		}},
 		"uniform": &Builtin{Name: "uniform", Sig: Args(2, 2), Fn: func(th *Thread, args []Value) (Value, error) {
 			a, ok1 := asFloat(args[0])
@@ -192,7 +252,7 @@ func (in *Interp) randomModule() *Module {
 			if !ok1 || !ok2 {
 				return nil, typeErrorf(minipy.Position{}, "uniform bounds must be numbers")
 			}
-			f := float64(next()>>11) / float64(1<<53)
+			f := float64(th.in.randNext()>>11) / float64(1<<53)
 			return a + f*(b-a), nil
 		}},
 		"shuffle": &Builtin{Name: "shuffle", Sig: Args(1, 1), Fn: func(th *Thread, args []Value) (Value, error) {
@@ -202,7 +262,7 @@ func (in *Interp) randomModule() *Module {
 			}
 			n := l.Len()
 			for i := n - 1; i > 0; i-- {
-				j := int(next() % uint64(i+1))
+				j := int(th.in.randNext() % uint64(i+1))
 				a, b := l.Get(i), l.Get(j)
 				l.Set(i, b)
 				l.Set(j, a)
@@ -212,7 +272,7 @@ func (in *Interp) randomModule() *Module {
 	}}
 }
 
-func (in *Interp) sysModule() *Module {
+func sysModule() *Module {
 	return &Module{Name: "sys", Attrs: map[string]Value{
 		"maxsize": int64(^uint64(0) >> 1),
 		"version": "minipy 1.0 (omp4go reproduction of OMP4Py)",

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -362,4 +364,47 @@ func TestSessionDoesNotRetainModules(t *testing.T) {
 	if n := len(in.scopes); n > 2 {
 		t.Fatalf("scope cache holds %d defs after 51 modules, want those of the last run", n)
 	}
+}
+
+// TestDeclaredReductionRaises: a combiner or initializer of a declared
+// reduction that raises, called through reduce_combine or reduce_init,
+// is the caller's exception; it used to escape RunSource as a Go panic.
+func TestDeclaredReductionRaises(t *testing.T) {
+	for _, call := range []string{"__omp.reduce_combine('m', 1, 2)", "__omp.reduce_init('m')"} {
+		src := "def comb(a, b):\n    raise ValueError('boom')\ndef init():\n    raise ValueError('boom')\n" +
+			"__omp.declare_reduction('m', comb, init)\n" + call + "\n"
+		in := New(Options{Stdout: io.Discard, Layer: rt.LayerAtomic, Getenv: func(string) string { return "" }})
+		err := in.RunSource(src, "test.py")
+		var pe *PyError
+		if !errors.As(err, &pe) || pe.Type != "ValueError" || pe.Msg != "boom" {
+			t.Errorf("%s: error %v, want ValueError: boom", call, err)
+		}
+	}
+}
+
+// TestInterpretersShareNoMutableState: interpreters share their
+// builtins, so what a program can change, a global binding, a module
+// attribute or the random state, must be each interpreter's own.
+// omp4py.pure stays the same module as omp4py within an interpreter.
+func TestInterpretersShareNoMutableState(t *testing.T) {
+	first := run(t, "import random\nprint(random.random())\n")
+	expectOut(t, `
+import math
+import random
+import omp4py
+import omp4py.pure as pure
+math.pi = 3
+random.seed(1)
+pure.omp_get_thread_num = 7
+len = 5
+print(math.pi, omp4py.omp_get_thread_num, len)
+print(random.random())
+`, "3 7 5\n"+run(t, "import random\nrandom.seed(1)\nprint(random.random())\n"))
+	expectOut(t, `
+import math
+import random
+import omp4py
+print(math.pi, omp4py.omp_get_thread_num(), len([1]))
+print(random.random())
+`, "3.141592653589793 0 1\n"+first)
 }

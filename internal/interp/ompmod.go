@@ -38,8 +38,9 @@ type NestLockVal struct{ L *rt.NestLock }
 
 type builtinFn = func(th *Thread, args []Value) (Value, error)
 
-func (in *Interp) installOmpModule() {
-	user := map[string]Value{
+// ompModules builds the omp4py module and the __omp module.
+func ompModules() (user, gen *Module) {
+	userAttrs := map[string]Value{
 		// The inert directive container: calling omp("...") does nothing
 		// at run time (§III-A); it also passes decorated functions
 		// through unchanged when code reaches the interpreter without
@@ -54,7 +55,7 @@ func (in *Interp) installOmpModule() {
 		}},
 	}
 	reg := func(name string, sig Sig, releases bool, fn builtinFn) {
-		user[name] = &Builtin{Name: name, Sig: sig, Fn: fn, ReleasesGIL: releases}
+		userAttrs[name] = &Builtin{Name: name, Sig: sig, Fn: fn, ReleasesGIL: releases}
 	}
 
 	// ---- user-facing runtime library routines ----
@@ -157,27 +158,16 @@ func (in *Interp) installOmpModule() {
 
 	// ---- generated-code runtime entry points (__omp) ----
 
-	gen := make(map[string]Value, ompabi.NumEntries)
+	genAttrs := make(map[string]Value, ompabi.NumEntries)
 	for e, fn := range ompEntries() {
 		spec := &ompabi.Specs[e]
 		if fn == nil {
 			panic("interp: no implementation of " + ompabi.Module + "." + spec.Name)
 		}
-		gen[spec.Name] = &Builtin{Name: spec.Name, Sig: argsBy(ompabi.Entry(e).Arity()), Fn: fn,
+		genAttrs[spec.Name] = &Builtin{Name: spec.Name, Sig: argsBy(ompabi.Entry(e).Arity()), Fn: fn,
 			ReleasesGIL: spec.ReleasesGIL}
 	}
-
-	in.modules["omp4py"] = &Module{Name: "omp4py", Attrs: user}
-	// omp4py.pure is the explicit Python-runtime import of §III-F;
-	// the layer is fixed per interpreter instance, so it aliases the
-	// same module here.
-	in.modules["omp4py.pure"] = in.modules["omp4py"]
-	ompMod := &Module{Name: ompabi.Module, Attrs: gen}
-	in.modules[ompabi.Module] = ompMod
-	in.globals.DefineValue(ompabi.Module, ompMod)
-	// The omp name itself is importable from omp4py and predefined
-	// so decorated-but-untransformed code still parses and runs.
-	in.globals.DefineValue("omp", user["omp"])
+	return &Module{Name: "omp4py", Attrs: userAttrs}, &Module{Name: ompabi.Module, Attrs: genAttrs}
 }
 
 // argError is the TypeError for argument i of a call to e not being of
@@ -506,16 +496,17 @@ func ompEntries() [ompabi.NumEntries]builtinFn {
 			if !callable(combiner) {
 				return nil, argError(ompabi.DeclareReduction, 1, combiner)
 			}
-			// The runtime calls the combiner and initializer from Go, on a
-			// thread of their own. An error they raise surfaces at merge
-			// time as a panic, which the runtime contains in a team.
+			// The runtime's callbacks return no error: the combiner and
+			// initializer run on a thread of their own and raise by
+			// panicking, which reduce_combine and reduce_init turn back
+			// into the error (callDeclared).
 			in := th.in
 			call := func(fn Value, args ...Value) any {
 				tth := in.MainThread()
 				defer tth.Release()
 				v, err := tth.Call(fn, args, minipy.Position{})
 				if err != nil {
-					panic(err)
+					panic(raised{err})
 				}
 				return v
 			}
@@ -530,7 +521,7 @@ func ompEntries() [ompabi.NumEntries]builtinFn {
 			if err != nil || d.Identity == nil {
 				return nil, err
 			}
-			return d.Identity(), nil
+			return callDeclared(d.Identity)
 		},
 		ompabi.ReduceCombine: func(th *Thread, args []Value) (Value, error) {
 			d, err := th.declaredReduction(ompabi.ReduceCombine, args[0])
@@ -538,9 +529,31 @@ func ompEntries() [ompabi.NumEntries]builtinFn {
 				return nil, err
 			}
 			th.ctx.ReductionMerge(d.Ident)
-			return d.Combine(args[1], args[2]), nil
+			return callDeclared(func() any { return d.Combine(args[1], args[2]) })
 		},
 	}
+}
+
+// raised is the panic a declared reduction's combiner or initializer
+// raises an error by.
+type raised struct{ err error }
+
+func (r raised) Error() string { return r.err.Error() }
+
+// callDeclared calls a callback of a declared reduction, returning what
+// it raised as the error. In a team member too: the generated merge's
+// finally then releases the reduction mutex its teammates wait on.
+func callDeclared(fn func() any) (v Value, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, ok := p.(raised)
+			if !ok {
+				panic(p)
+			}
+			err = r.err
+		}
+	}()
+	return fn(), nil
 }
 
 // runOn runs fn(args...) on a new thread of team context c: a team

@@ -12,7 +12,9 @@ import (
 // of line, newlines inside brackets are implicit continuations, and a
 // trailing backslash joins physical lines.
 func Lex(src string) ([]Token, error) {
-	lx := &lexer{src: src, line: 1, indents: []int{0}}
+	// Sources run 3 to 4 bytes per token: the presized slice does not
+	// regrow on real programs.
+	lx := &lexer{src: src, line: 1, indents: []int{0}, toks: make([]Token, 0, len(src)/3+8)}
 	if err := lx.run(); err != nil {
 		return nil, err
 	}
@@ -303,11 +305,15 @@ func (lx *lexer) lexName() {
 	pos := lx.pos()
 	start := lx.i
 	for lx.i < len(lx.src) {
-		r, width := utf8.DecodeRuneInString(lx.src[lx.i:])
+		if c := lx.src[lx.i]; 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' {
+			lx.i++
+			continue
+		}
+		r := lx.runeAt(lx.i)
 		if !isNameCont(r) {
 			break
 		}
-		lx.i += width
+		lx.i += utf8.RuneLen(r) // r is valid: RuneError is no name character
 	}
 	text := lx.src[start:lx.i]
 	if keywords[text] {
@@ -326,15 +332,25 @@ var operators = []string{
 	"{", "}", ",", ":", ".", ";", "@", "&", "|", "^", "~",
 }
 
+// opsByFirst holds, per first byte, the operators starting with it in
+// the order of operators, so longest first.
+var opsByFirst [256][]string
+
+func init() {
+	for _, op := range operators {
+		opsByFirst[op[0]] = append(opsByFirst[op[0]], op)
+	}
+}
+
 func (lx *lexer) lexOp() error {
 	pos := lx.pos()
 	rest := lx.src[lx.i:]
-	for _, op := range operators {
+	for _, op := range opsByFirst[rest[0]] {
 		if strings.HasPrefix(rest, op) {
-			switch op {
-			case "(", "[", "{":
+			switch op[0] {
+			case '(', '[', '{':
 				lx.depth++
-			case ")", "]", "}":
+			case ')', ']', '}':
 				if lx.depth > 0 {
 					lx.depth--
 				}

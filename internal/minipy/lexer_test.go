@@ -1,6 +1,9 @@
 package minipy
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -296,4 +299,68 @@ func TestLexNonASCII(t *testing.T) {
 	if _, err := Lex("a = \"✓\n"); err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
 		t.Fatalf("err = %v, want unterminated string literal", err)
 	}
+}
+
+// TestLexOperators lexes every string of one to three bytes over the
+// operator alphabet and compares the result with a longest-match
+// reference over the operator list below, kept here independently of
+// the lexer's.
+func TestLexOperators(t *testing.T) {
+	ops := []string{
+		"**=", "//=", "<<=", ">>=",
+		"**", "//", "<<", ">>", "<=", ">=", "==", "!=", "->",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+		"+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]",
+		"{", "}", ",", ":", ".", ";", "@", "&", "|", "^", "~",
+	}
+	var alphabet []byte
+	for _, op := range ops {
+		for i := 0; i < len(op); i++ {
+			if !bytes.ContainsRune(alphabet, rune(op[i])) {
+				alphabet = append(alphabet, op[i])
+			}
+		}
+	}
+	// want is the reference: the tokens of s, or the error.
+	want := func(s string) ([]Token, string) {
+		var toks []Token
+		for i := 0; i < len(s); {
+			best := ""
+			for _, op := range ops {
+				if strings.HasPrefix(s[i:], op) && len(op) > len(best) {
+					best = op
+				}
+			}
+			if best == "" {
+				return nil, fmt.Sprintf("line 1 col %d: unexpected character %q", i+1, s[i])
+			}
+			toks = append(toks, Token{Kind: OP, Text: best, Pos: Position{Line: 1, Col: i}})
+			i += len(best)
+		}
+		end := Position{Line: 1, Col: len(s)}
+		return append(toks, Token{Kind: NEWLINE, Pos: end}, Token{Kind: EOF, Pos: end}), ""
+	}
+	var check func(s string)
+	check = func(s string) {
+		if len(s) > 0 {
+			toks, err := Lex(s)
+			wantToks, wantErr := want(s)
+			switch {
+			case wantErr != "":
+				if err == nil || err.Error() != wantErr {
+					t.Errorf("Lex(%q) error %v, want %s", s, err, wantErr)
+				}
+			case err != nil:
+				t.Errorf("Lex(%q): %v", s, err)
+			case !reflect.DeepEqual(toks, wantToks):
+				t.Errorf("Lex(%q) = %v, want %v", s, toks, wantToks)
+			}
+		}
+		if len(s) < 3 {
+			for _, c := range alphabet {
+				check(s + string(c))
+			}
+		}
+	}
+	check("")
 }

@@ -51,12 +51,12 @@ type parser struct {
 	file string
 }
 
-func (p *parser) cur() Token  { return p.toks[p.i] }
-func (p *parser) peek() Token { return p.toks[p.i+1] }
-func (p *parser) next() Token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() *Token  { return &p.toks[p.i] }
+func (p *parser) peek() *Token { return &p.toks[p.i+1] }
+func (p *parser) next() *Token { t := &p.toks[p.i]; p.i++; return t }
 
 func (p *parser) at(kind TokKind, text string) bool {
-	t := p.cur()
+	t := &p.toks[p.i]
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
@@ -68,7 +68,7 @@ func (p *parser) accept(kind TokKind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind TokKind, text string) (Token, error) {
+func (p *parser) expect(kind TokKind, text string) (*Token, error) {
 	if p.at(kind, text) {
 		return p.next(), nil
 	}
@@ -76,7 +76,7 @@ func (p *parser) expect(kind TokKind, text string) (Token, error) {
 	if want == "" {
 		want = kind.String()
 	}
-	return Token{}, p.errf("expected %s, found %s", want, p.cur())
+	return nil, p.errf("expected %s, found %s", want, p.cur())
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -92,66 +92,47 @@ func (p *parser) parseModule() (*Module, error) {
 		case NEWLINE:
 			p.next()
 		default:
-			stmts, err := p.parseStatement()
-			if err != nil {
+			var err error
+			if mod.Body, err = p.parseStatement(mod.Body); err != nil {
 				return nil, err
 			}
-			mod.Body = append(mod.Body, stmts...)
 		}
 	}
 }
 
 // parseStatement parses one logical statement, which may expand to
-// multiple small statements separated by semicolons.
-func (p *parser) parseStatement() ([]Stmt, error) {
-	t := p.cur()
-	if t.Kind == KEYWORD {
-		switch t.Text {
-		case "def":
-			s, err := p.parseFuncDef(nil)
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		case "if":
-			s, err := p.parseIf()
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		case "while":
-			s, err := p.parseWhile()
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		case "for":
-			s, err := p.parseFor()
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		case "with":
-			s, err := p.parseWith()
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		case "try":
-			s, err := p.parseTry()
-			if err != nil {
-				return nil, err
-			}
-			return []Stmt{s}, nil
-		}
+// multiple small statements separated by semicolons, and appends it to
+// into.
+func (p *parser) parseStatement(into []Stmt) ([]Stmt, error) {
+	var s Stmt
+	var err error
+	switch t := p.cur(); {
+	case t.Kind == OP && t.Text == "@":
+		return p.parseDecorated(into)
+	case t.Kind != KEYWORD:
+		return p.parseSimpleLine(into)
+	case t.Text == "def":
+		s, err = p.parseFuncDef(nil)
+	case t.Text == "if":
+		s, err = p.parseIf()
+	case t.Text == "while":
+		s, err = p.parseWhile()
+	case t.Text == "for":
+		s, err = p.parseFor()
+	case t.Text == "with":
+		s, err = p.parseWith()
+	case t.Text == "try":
+		s, err = p.parseTry()
+	default:
+		return p.parseSimpleLine(into)
 	}
-	if t.Kind == OP && t.Text == "@" {
-		return p.parseDecorated()
+	if err != nil {
+		return nil, err
 	}
-	return p.parseSimpleLine()
+	return append(into, s), nil
 }
 
-func (p *parser) parseDecorated() ([]Stmt, error) {
+func (p *parser) parseDecorated(into []Stmt) ([]Stmt, error) {
 	var decorators []Expr
 	for p.accept(OP, "@") {
 		d, err := p.parseTest()
@@ -172,7 +153,7 @@ func (p *parser) parseDecorated() ([]Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Stmt{s}, nil
+	return append(into, s), nil
 }
 
 func (p *parser) parseFuncDef(decorators []Expr) (Stmt, error) {
@@ -402,7 +383,7 @@ func (p *parser) parseSuite() ([]Stmt, error) {
 		return nil, err
 	}
 	if !p.at(NEWLINE, "") {
-		return p.parseSimpleLine()
+		return p.parseSimpleLine(nil)
 	}
 	p.next() // NEWLINE
 	if _, err := p.expect(INDENT, ""); err != nil {
@@ -413,11 +394,10 @@ func (p *parser) parseSuite() ([]Stmt, error) {
 		if p.accept(NEWLINE, "") {
 			continue
 		}
-		stmts, err := p.parseStatement()
-		if err != nil {
+		var err error
+		if body, err = p.parseStatement(body); err != nil {
 			return nil, err
 		}
-		body = append(body, stmts...)
 	}
 	p.next() // DEDENT
 	if len(body) == 0 {
@@ -427,9 +407,8 @@ func (p *parser) parseSuite() ([]Stmt, error) {
 }
 
 // parseSimpleLine parses small statements separated by ';' up to the
-// newline.
-func (p *parser) parseSimpleLine() ([]Stmt, error) {
-	var out []Stmt
+// newline and appends them to out.
+func (p *parser) parseSimpleLine(out []Stmt) ([]Stmt, error) {
 	for {
 		s, err := p.parseSmallStmt()
 		if err != nil {
@@ -839,7 +818,7 @@ func (p *parser) parseNot() (Expr, error) {
 }
 
 func (p *parser) parseComparison() (Expr, error) {
-	left, err := p.parseBitOr()
+	left, err := p.parseBinary(binaryPrecMin)
 	if err != nil {
 		return nil, err
 	}
@@ -847,31 +826,33 @@ func (p *parser) parseComparison() (Expr, error) {
 	var rights []Expr
 	for {
 		var op string
-		switch {
-		case p.at(OP, "==") || p.at(OP, "!=") || p.at(OP, "<") ||
-			p.at(OP, "<=") || p.at(OP, ">") || p.at(OP, ">="):
+		switch t := p.cur(); {
+		case t.Kind == OP && (t.Text == "==" || t.Text == "!=" || t.Text == "<" ||
+			t.Text == "<=" || t.Text == ">" || t.Text == ">="):
 			op = p.next().Text
-		case p.at(KEYWORD, "in"):
+		case t.Kind != KEYWORD:
+		case t.Text == "in":
 			p.next()
 			op = "in"
-		case p.at(KEYWORD, "not") && p.peek().Kind == KEYWORD && p.peek().Text == "in":
+		case t.Text == "not" && p.peek().Kind == KEYWORD && p.peek().Text == "in":
 			p.next()
 			p.next()
 			op = "not in"
-		case p.at(KEYWORD, "is"):
+		case t.Text == "is":
 			p.next()
 			if p.accept(KEYWORD, "not") {
 				op = "is not"
 			} else {
 				op = "is"
 			}
-		default:
+		}
+		if op == "" {
 			if len(ops) == 0 {
 				return left, nil
 			}
 			return &Compare{base: base{left.NodePos()}, L: left, Ops: ops, Rights: rights}, nil
 		}
-		r, err := p.parseBitOr()
+		r, err := p.parseBinary(binaryPrecMin)
 		if err != nil {
 			return nil, err
 		}
@@ -880,57 +861,35 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 }
 
-func (p *parser) parseBinLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
-	left, err := sub()
+// parseBinary parses the left-associative binary operators, binPrec
+// levels 5 (|) to 10 (* / // %), by precedence climbing: an operator
+// binding at least as tightly as minPrec extends left, and its right
+// operand takes only operators binding more tightly still.
+func (p *parser) parseBinary(minPrec int) (Expr, error) {
+	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range ops {
-			if p.at(OP, op) {
-				pos := p.next().Pos
-				r, err := sub()
-				if err != nil {
-					return nil, err
-				}
-				left = &BinOp{base: base{pos}, Op: op, L: left, R: r}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		t := &p.toks[p.i]
+		if t.Kind != OP {
 			return left, nil
 		}
+		prec := binPrec[t.Text]
+		if prec < minPrec || prec > binaryPrecMax {
+			return left, nil
+		}
+		p.i++
+		r, err := p.parseBinary(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		left = &BinOp{base: base{t.Pos}, Op: t.Text, L: left, R: r}
 	}
 }
 
-func (p *parser) parseBitOr() (Expr, error) {
-	return p.parseBinLevel([]string{"|"}, p.parseBitXor)
-}
-
-func (p *parser) parseBitXor() (Expr, error) {
-	return p.parseBinLevel([]string{"^"}, p.parseBitAnd)
-}
-
-func (p *parser) parseBitAnd() (Expr, error) {
-	return p.parseBinLevel([]string{"&"}, p.parseShift)
-}
-
-func (p *parser) parseShift() (Expr, error) {
-	return p.parseBinLevel([]string{"<<", ">>"}, p.parseArith)
-}
-
-func (p *parser) parseArith() (Expr, error) {
-	return p.parseBinLevel([]string{"+", "-"}, p.parseTerm)
-}
-
-func (p *parser) parseTerm() (Expr, error) {
-	return p.parseBinLevel([]string{"*", "//", "/", "%"}, p.parseUnary)
-}
-
 func (p *parser) parseUnary() (Expr, error) {
-	if p.at(OP, "-") || p.at(OP, "+") || p.at(OP, "~") {
+	if t := p.cur(); t.Kind == OP && (t.Text == "-" || t.Text == "+" || t.Text == "~") {
 		op := p.next()
 		x, err := p.parseUnary()
 		if err != nil {
@@ -967,8 +926,12 @@ func (p *parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.at(OP, "("):
+		t := p.cur()
+		if t.Kind != OP {
+			return x, nil
+		}
+		switch t.Text {
+		case "(":
 			pos := p.next().Pos
 			call := &Call{base: base{pos}, Fn: x}
 			for !p.at(OP, ")") {
@@ -999,14 +962,14 @@ func (p *parser) parsePostfix() (Expr, error) {
 				return nil, err
 			}
 			x = call
-		case p.at(OP, "."):
+		case ".":
 			pos := p.next().Pos
 			nameTok, err := p.expect(NAME, "")
 			if err != nil {
 				return nil, err
 			}
 			x = &Attribute{base: base{pos}, X: x, Name: nameTok.Text}
-		case p.at(OP, "["):
+		case "[":
 			pos := p.next().Pos
 			sub, err := p.parseSubscript(x, pos)
 			if err != nil {

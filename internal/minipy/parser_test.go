@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -537,4 +538,52 @@ def fibonacci(n):
     return fib1 + fib2
 `
 	parse(t, src2)
+}
+
+// TestBinaryPrecedenceMatrix parses a op1 b op2 c for every ordered
+// pair of binary operators and checks the grouping the precedence
+// table implies: the tighter operator groups first, equal levels group
+// to the left except for the right-associative **.
+func TestBinaryPrecedenceMatrix(t *testing.T) {
+	var ops []string
+	for op, p := range binPrec {
+		if p >= binaryPrecMin && p <= binaryPrecMax || op == "**" {
+			ops = append(ops, op)
+		}
+	}
+	// shape renders e fully parenthesized.
+	var shape func(e Expr) string
+	shape = func(e Expr) string {
+		switch x := e.(type) {
+		case *BinOp:
+			return "(" + shape(x.L) + " " + x.Op + " " + shape(x.R) + ")"
+		case *UnaryOp:
+			return "(" + x.Op + shape(x.X) + ")"
+		case *Name:
+			return x.ID
+		}
+		return fmt.Sprintf("<%T>", e)
+	}
+	check := func(src, want string) {
+		e, err := ParseExprString(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			return
+		}
+		if got := shape(e); got != want {
+			t.Errorf("%s parses as %s, want %s", src, got, want)
+		}
+	}
+	for _, op1 := range ops {
+		for _, op2 := range ops {
+			p1, p2 := binPrec[op1], binPrec[op2]
+			want := "((a " + op1 + " b) " + op2 + " c)"
+			if p1 < p2 || p1 == p2 && op1 == "**" {
+				want = "(a " + op1 + " (b " + op2 + " c))"
+			}
+			check("a "+op1+" b "+op2+" c", want)
+		}
+	}
+	check("-a ** b", "(-(a ** b))")
+	check("a ** -b", "(a ** (-b))")
 }

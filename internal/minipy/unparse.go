@@ -208,8 +208,11 @@ func (u *unparser) exprStr(e Expr) string {
 	return sub.b.String()
 }
 
-// Operator precedence levels for parenthesization, mirroring the
-// parser's grammar.
+// binPrec is the operator precedence of the grammar, loosest first:
+// the unparser parenthesizes by it, and the parser climbs levels
+// binaryPrecMin to binaryPrecMax with it (parseBinary). ** (right
+// associative, binding tighter than a unary operator on its left),
+// unary operators and comparisons have parse functions of their own.
 var binPrec = map[string]int{
 	"or": 1, "and": 2,
 	"==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
@@ -219,6 +222,8 @@ var binPrec = map[string]int{
 	"*": 10, "/": 10, "//": 10, "%": 10,
 	"**": 12,
 }
+
+const binaryPrecMin, binaryPrecMax = 5, 10
 
 func (u *unparser) expr(e Expr, prec int) {
 	switch t := e.(type) {
@@ -248,7 +253,11 @@ func (u *unparser) expr(e Expr, prec int) {
 		if open {
 			u.b.WriteByte('(')
 		}
-		u.expr(t.L, p)
+		lp := p
+		if t.Op == "**" { // right associative: (a ** b) ** c keeps its parentheses
+			lp = p + 1
+		}
+		u.expr(t.L, lp)
 		u.b.WriteString(" " + t.Op + " ")
 		u.expr(t.R, p+1)
 		if open {
@@ -271,6 +280,9 @@ func (u *unparser) expr(e Expr, prec int) {
 		}
 	case *UnaryOp:
 		open := prec > 11
+		if t.Op == "not" { // binds looser than comparisons: a + (not b)
+			open = prec > 3
+		}
 		if open {
 			u.b.WriteByte('(')
 		}

@@ -134,21 +134,19 @@ func TestFlightDumpOnWatchdogStall(t *testing.T) {
 		})
 	}()
 
-	// Poll until a stall dump exists and is fully written (the glob
-	// can catch the file mid-encode).
-	var doc FlightDump
-	var loaded bool
+	// Wait for the watchdog to announce the dump: it does so after the
+	// file is written, so the file the announcement names must load.
+	const announce = "omp4go watchdog: flight dump written to "
+	var path string
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !loaded {
-		dumps, _ := filepath.Glob(filepath.Join(dir, "omp4go-flight-*-stall.json"))
-		for _, p := range dumps {
-			data, err := os.ReadFile(p)
-			if err == nil && json.Unmarshal(data, &doc) == nil {
-				loaded = true
+	for time.Now().Before(deadline) && path == "" {
+		for _, line := range strings.Split(out.String(), "\n") {
+			if p, ok := strings.CutPrefix(line, announce); ok {
+				path = p
 				break
 			}
 		}
-		if !loaded {
+		if path == "" {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
@@ -156,14 +154,22 @@ func TestFlightDumpOnWatchdogStall(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("region failed after release: %v", err)
 	}
-	if !loaded {
-		t.Fatal("watchdog stall produced no loadable flight dump")
+	if path == "" {
+		t.Fatalf("watchdog output does not announce a dump:\n%s", out.String())
+	}
+	if filepath.Dir(path) != dir || !strings.HasSuffix(path, "-stall.json") {
+		t.Errorf("announced dump %q is not a stall dump in %s", path, dir)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("announced dump: %v", err)
+	}
+	var doc FlightDump
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("announced dump %s does not load: %v", path, err)
 	}
 	if doc.Reason != "stall" {
 		t.Errorf("dump reason = %q, want stall", doc.Reason)
-	}
-	if !strings.Contains(out.String(), "flight dump written to") {
-		t.Errorf("watchdog output does not announce the dump:\n%s", out.String())
 	}
 }
 

@@ -439,14 +439,16 @@ func (t *Team) runClaimed(ctx *Context, tk *task) {
 		}
 		tk.state.Store(taskDone)
 		tk.done.Set()
+		// Error delivery precedes the release of dependence successors,
+		// whose own errors must not arrive first, and both completion
+		// counters: a thread observing pending == 0 in TaskgroupEnd or
+		// children == 0 in TaskWait immediately drains childErrs, so
+		// the error must already be parked on the ancestor when either
+		// count drops.
+		t.deliverTaskErrors(tk)
 		if tk.hasDeps {
 			t.releaseSuccessors(ctx, tk)
 		}
-		// Error delivery precedes both completion counters: a thread
-		// observing pending == 0 in TaskgroupEnd or children == 0 in
-		// TaskWait immediately drains childErrs, so the error must
-		// already be parked on the ancestor when either count drops.
-		t.deliverTaskErrors(tk)
 		for g := tk.tg; g != nil; g = g.parent {
 			g.pending.Add(-1)
 		}

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/omp4go/omp4go/internal/ompt"
 )
 
 // TestUndeferredErrorDeliveredOnce is the ISSUE's headline bugfix: an
@@ -170,8 +174,94 @@ func TestPanicInUndeferredTask(t *testing.T) {
 // maxTaskErrs errors; the joined error reports the first failure plus
 // maxTaskErrs-1 extras, and the overflow is dropped, not deadlocked.
 func TestTaskErrorCapSixteen(t *testing.T) {
-	const failing = 40
+	if msg := taskErrorChain(t, newTestRuntime(LayerAtomic)); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestTaskErrorOrderStress repeats TestTaskErrorCapSixteen: a task
+// delivers its error before it releases its dependence successors, so
+// a successor's error can never arrive first.
+func TestTaskErrorOrderStress(t *testing.T) {
 	r := newTestRuntime(LayerAtomic)
+	for i := 0; i < 200; i++ {
+		if msg := taskErrorChain(t, r); msg != "" {
+			t.Fatalf("run %d: %s", i, msg)
+		}
+	}
+}
+
+// holdRelease is a tool that holds the thread releasing the second
+// dependence-resolved task inside the release until the first one
+// has left its pending counts, so after its error was delivered.
+type holdRelease struct {
+	mu       sync.Mutex
+	resolved []int64 // ids of the released tasks, in release order
+	firstOut chan struct{}
+}
+
+func (h *holdRelease) Emit(rec ompt.Record) {
+	if rec.Kind != ompt.EvTaskDependResolved {
+		return
+	}
+	h.mu.Lock()
+	h.resolved = append(h.resolved, rec.A)
+	n := len(h.resolved)
+	h.mu.Unlock()
+	if n == 2 {
+		select {
+		case <-h.firstOut:
+		case <-time.After(5 * time.Second):
+		}
+	}
+}
+
+// TestTaskErrorDeliveredBeforeRelease: a failing task delivers its
+// error before it releases its dependence successors, so the error of
+// a successor that fails at once cannot arrive first. Two successors
+// wait on the failing task; the tool keeps the releasing thread inside
+// the second release until a teammate has run the first to completion.
+func TestTaskErrorDeliveredBeforeRelease(t *testing.T) {
+	r := newTestRuntime(LayerAtomic)
+	h := &holdRelease{firstOut: make(chan struct{})}
+	r.SetTool(h)
+	var once sync.Once
+	taskPendingDropHook = func(tk *task) {
+		h.mu.Lock()
+		first := len(h.resolved) > 0 && tk.id == h.resolved[0]
+		h.mu.Unlock()
+		if first {
+			once.Do(func() { close(h.firstOut) })
+		}
+	}
+	defer func() { taskPendingDropHook = nil }()
+	var waitErr error
+	regionErr := inSingle(t, r, func(c *Context) error {
+		for i, dep := range [][]Dep{Out("e"), In("e"), In("e")} {
+			i := i
+			if err := c.SubmitTask(TaskOpts{Depends: dep}, func(*Context) error {
+				return fmt.Errorf("fail %d", i)
+			}); err != nil {
+				return err
+			}
+		}
+		waitErr = c.TaskWait()
+		return nil
+	})
+	if regionErr != nil {
+		t.Fatalf("region: %v", regionErr)
+	}
+	var te *teamError
+	if !errors.As(waitErr, &te) || te.first.Error() != "fail 0" {
+		t.Fatalf("TaskWait returned %v, want fail 0 first", waitErr)
+	}
+}
+
+// taskErrorChain runs forty failing tasks serialized by an inout
+// chain and checks what TaskWait reports; it returns what is wrong, or
+// "".
+func taskErrorChain(t *testing.T, r *Runtime) string {
+	const failing = 40
 	var waitErr error
 	regionErr := inSingle(t, r, func(c *Context) error {
 		for i := 0; i < failing; i++ {
@@ -188,18 +278,19 @@ func TestTaskErrorCapSixteen(t *testing.T) {
 		return nil
 	})
 	if regionErr != nil {
-		t.Fatalf("region join re-delivered task errors: %v", regionErr)
+		return fmt.Sprintf("region join re-delivered task errors: %v", regionErr)
 	}
 	var te *teamError
 	if !errors.As(waitErr, &te) {
-		t.Fatalf("TaskWait returned %T (%v), want *teamError", waitErr, waitErr)
+		return fmt.Sprintf("TaskWait returned %T (%v), want *teamError", waitErr, waitErr)
 	}
 	if te.extra != maxTaskErrs-1 {
-		t.Fatalf("teamError extra = %d, want %d (cap %d)", te.extra, maxTaskErrs-1, maxTaskErrs)
+		return fmt.Sprintf("teamError extra = %d, want %d (cap %d)", te.extra, maxTaskErrs-1, maxTaskErrs)
 	}
 	if te.first.Error() != "fail 0" {
-		t.Fatalf("first error = %v, want fail 0", te.first)
+		return fmt.Sprintf("first error = %v, want fail 0", te.first)
 	}
+	return ""
 }
 
 // TestTaskWaitNoChildrenReturnsPendingErrors: taskwait with zero live

@@ -248,6 +248,12 @@ func TestRuntimeErrorPosition(t *testing.T) {
 		// A call with too few arguments used to panic the handler: the
 		// client saw EOF instead of a response.
 		{"from omp4py import *\nomp_set_num_threads()\n", "TypeError"},
+		// So did a declared reduction whose combiner or initializer
+		// raises, called through its entry.
+		{"def comb(a, b):\n    raise ValueError('boom')\n__omp.declare_reduction('m', comb, None)\n" +
+			"__omp.reduce_combine('m', 1, 2)\n", "ValueError"},
+		{"def init():\n    raise ValueError('boom')\n__omp.declare_reduction('n', init, init)\n" +
+			"__omp.reduce_init('n')\n", "ValueError"},
 	} {
 		st, rr, apiErr := postRun(t, s, "errs", RunRequest{Source: tc.source, File: "oops.py"})
 		if st != http.StatusOK || rr.OK || apiErr == nil {

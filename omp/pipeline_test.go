@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/omp4go/omp4go/internal/interp"
 )
@@ -188,6 +189,45 @@ def fast(n: int) -> int:
 // An exception raised inside a builtin carries the position of the call
 // that raised it, the same one in every mode: the builtin itself has no
 // source position, so the call site stamps it (interp.Thread.CallKw).
+// TestDeclaredReductionRaisesInTeam: a declared reduction whose
+// combiner or initializer raises inside a parallel for is the raising
+// member's exception, returned from the region in every mode. The
+// merge's try/finally then releases the reduction mutex. When the
+// raise was a Go panic, a raising combiner skipped that finally and
+// deadlocked the teammate waiting on the mutex, and a raising
+// initializer came back as a RuntimeError naming a team panic.
+func TestDeclaredReductionRaisesInTeam(t *testing.T) {
+	for _, decl := range []string{
+		"m : boom(omp_out, omp_in)) initializer(omp_priv = 0",
+		"m : omp_out + omp_in) initializer(omp_priv = boom()",
+	} {
+		src := "from omp4py import *\ndef boom(a=0, b=0):\n    raise ValueError('boom')\n@omp\ndef f(n):\n" +
+			"    omp(\"declare reduction(" + decl + ")\")\n    x = 0\n" +
+			"    with omp(\"parallel for num_threads(2) reduction(m:x)\"):\n" +
+			"        for i in range(n):\n            x += i\n    return x\n"
+		for _, mode := range []Mode{ModePure, ModeHybrid, ModeCompiled, ModeCompiledDT} {
+			p, err := Load(src, "reduce.py", mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", decl, mode, err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.Call("f", 10)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s %v: the region did not return", decl, mode)
+			}
+			var pe *interp.PyError
+			if !errors.As(err, &pe) || pe.Type != "ValueError" || pe.Msg != "boom" {
+				t.Errorf("%s %v: error %v, want ValueError: boom", decl, mode, err)
+			}
+		}
+	}
+}
+
 func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
 	type callCase struct {
 		name, call, excType string
