@@ -43,7 +43,10 @@ endef
 # re-executes the race-built test binary as real rank processes;
 # internal/mpi the matching, coalescing and single-puller receive path;
 # internal/interp the runtime ABI table against the __omp module and
-# the lowered programs, and the fuzz seed corpus of Go callables.
+# the lowered programs, the fuzz seed corpus of Go callables, and two
+# interpreters running one transformed module at once
+# (TestInterpretersShareOneModule: the scope records they share are
+# read-only).
 RACE_TABLE = \
   './internal/rt/...:.:180s' \
   './internal/ompt/...:.:120s' \
@@ -51,7 +54,7 @@ RACE_TABLE = \
   './omp/...:.:180s' \
   './internal/compile/:TestKernel|TestIR|TestDeclarationTrust|TestPaperLoopsRunAsIR|TestTextbookLoopsRunAsIR|TestTypedParamChecked|TestNumericOperatorTable:300s' \
   './internal/minipy/:TestInspect:60s' \
-  './internal/interp/:TestABI|FuzzCallBuiltin:120s' \
+  './internal/interp/:TestABI|FuzzCallBuiltin|TestInterpretersShareOneModule:120s' \
   './internal/bench/:TestKernelDifferentialMatrix|TestHalo|TestHybrid:300s' \
   './internal/mpi/:.:300s'
 

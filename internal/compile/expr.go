@@ -301,7 +301,7 @@ func (c *compiler) compileExprBoxed(sc *scopeCtx, e minipy.Expr) (exprFn, error)
 			return elsef(fr)
 		}, nil
 	case *minipy.Lambda:
-		fd := &minipy.FuncDef{Name: "<lambda>", Params: t.Params, Body: []minipy.Stmt{&minipy.Return{Value: t.Body}}}
+		fd := &minipy.FuncDef{Name: "<lambda>", Params: t.Params, Body: []minipy.Stmt{&minipy.Return{Value: t.Body}}, Scope: t.Scope}
 		fd.P = t.NodePos()
 		return c.compileClosure(sc, fd)
 	}

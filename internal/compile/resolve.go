@@ -76,6 +76,7 @@ func (c *compiler) newScope(fd *minipy.FuncDef, parent *scopeCtx) *scopeCtx {
 	sc := &scopeCtx{
 		c:      c,
 		parent: parent,
+		scope:  fd.Scope,
 		types:  types,
 		slotOf: make(map[string]int),
 		cellOf: make(map[string]int),
@@ -83,16 +84,8 @@ func (c *compiler) newScope(fd *minipy.FuncDef, parent *scopeCtx) *scopeCtx {
 		iOf:    make(map[string]int),
 		freeOf: make(map[string]int),
 	}
-	if types != nil {
-		sc.scope = types.scope
-	} else {
-		sc.scope = minipy.AnalyzeScope(fd.Params, fd.Body)
-	}
-
-	captured := nestedReferences(fd.Body)
-
 	for _, name := range sc.scope.Locals {
-		if captured[name] {
+		if sc.scope.Nested[name] {
 			// Captured locals live in cells the closures share. A cell is
 			// boxed storage; the binding keeps its type, which every store
 			// into the cell upholds (store, storeBinding).
@@ -346,18 +339,12 @@ func (sc *scopeCtx) declare(target minipy.Expr) stmtFn {
 // follow the nonlocal declaration (handled by resolve) or create
 // globals only when declared global.
 func (sc *scopeCtx) resolveStore(name string) varRef {
-	if sc.scope.Nonlocals[name] {
+	if sc.scope.Nonlocals[name] || sc.scope.IsLocal(name) {
 		return sc.resolve(name)
 	}
-	if sc.scope.Globals[name] {
-		return sc.globalRef(name)
-	}
-	if sc.scope.IsLocal(name) {
-		return sc.resolve(name)
-	}
-	// Assignment to a name that scope analysis did not classify:
-	// module level (module bodies are not compiled) or dynamic; fall
-	// back to a global store.
+	// A global declaration, or an assignment to a name the scope record
+	// does not classify: module level (module bodies are not compiled)
+	// or dynamic; a global store.
 	return sc.globalRef(name)
 }
 
@@ -366,28 +353,3 @@ func (sc *scopeCtx) resolveStore(name string) varRef {
 type unboundType struct{}
 
 var unboundMarker interp.Value = unboundType{}
-
-// nestedReferences over-approximates the set of names referenced by
-// nested functions/lambdas anywhere in body (such locals must live in
-// cells so closures share them): every name mentioned inside one, at
-// any depth.
-func nestedReferences(body []minipy.Stmt) map[string]bool {
-	out := make(map[string]bool)
-	for _, s := range body {
-		minipy.Inspect(s, func(n minipy.Node) bool {
-			switch t := n.(type) {
-			case *minipy.FuncDef:
-				for _, b := range t.Body {
-					minipy.Names(b, out)
-				}
-			case *minipy.Lambda:
-				minipy.Names(t.Body, out)
-			}
-			// Decorators and defaults evaluate in the enclosing scope and
-			// count only for what is nested inside them; the traversal
-			// goes on into them, and again into the body just collected.
-			return true
-		})
-	}
-	return out
-}

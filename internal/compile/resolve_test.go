@@ -26,9 +26,9 @@ func TestNestedReferencesOfTrickyPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := nestedReferences(mod.Body[0].(*minipy.FuncDef).Body)
+		got := mod.Body[0].(*minipy.FuncDef).Scope.Nested
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("nestedReferences = %v, want %v\n%s", got, tc.want, tc.src)
+			t.Errorf("nested references = %v, want %v\n%s", got, tc.want, tc.src)
 		}
 	}
 }

@@ -48,7 +48,7 @@ type typeEnv struct {
 }
 
 func newTypeEnv(fd *minipy.FuncDef, parent *typeEnv) *typeEnv {
-	t := &typeEnv{parent: parent, scope: minipy.AnalyzeScope(fd.Params, fd.Body), kids: map[*minipy.FuncDef]*typeEnv{}}
+	t := &typeEnv{parent: parent, scope: fd.Scope, kids: map[*minipy.FuncDef]*typeEnv{}}
 	t.own = make(map[string]valType, len(t.scope.Locals))
 	for _, name := range t.scope.Locals {
 		t.own[name] = tUnknown

@@ -172,13 +172,12 @@ func (th *Thread) evalExpr(fr *frame, e minipy.Expr) (Value, error) {
 		}
 		return th.evalExpr(fr, t.Else)
 	case *minipy.Lambda:
-		scope := minipy.AnalyzeScope(t.Params, nil)
 		fn := &Function{
 			Name:    "<lambda>",
 			Params:  t.Params,
-			Body:    []minipy.Stmt{&minipy.Return{Value: t.Body}},
+			Result:  t.Body,
 			Env:     fr.env,
-			Scope:   scope,
+			Scope:   t.Scope,
 			Globals: fr.globals,
 		}
 		for _, p := range t.Params {
@@ -365,6 +364,9 @@ func (th *Thread) callFunction(f *Function, args []Value, kwargs map[string]Valu
 		}
 	}
 	fr := &frame{env: env, globals: f.Globals, scope: f.Scope}
+	if f.Result != nil {
+		return th.evalExpr(fr, f.Result)
+	}
 	err := th.execStmts(fr, f.Body)
 	if err != nil {
 		if ret, ok := err.(returnSignal); ok {

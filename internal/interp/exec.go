@@ -544,13 +544,12 @@ func (th *Thread) execWith(fr *frame, t *minipy.With) error {
 }
 
 func (th *Thread) makeFunction(fr *frame, t *minipy.FuncDef) (*Function, error) {
-	scope := th.in.scopeOf(t)
 	fn := &Function{
 		Name:    t.Name,
 		Params:  t.Params,
 		Body:    t.Body,
 		Env:     fr.env,
-		Scope:   scope,
+		Scope:   t.Scope,
 		Globals: fr.globals,
 	}
 	// Defaults evaluate once, at definition time.

@@ -54,9 +54,6 @@ type Interp struct {
 	// worker threads are checking it.
 	budget atomic.Pointer[budgetState]
 
-	scopeMu sync.Mutex
-	scopes  map[*minipy.FuncDef]*minipy.ScopeInfo
-
 	modules map[string]*Module
 
 	// rand is the random module's xorshift state, guarded by randMu;
@@ -79,7 +76,6 @@ func New(opts Options) *Interp {
 		globals: newGlobals(modules),
 		rt:      rt.NewWithEnv(opts.Layer, opts.Getenv),
 		stdout:  opts.Stdout,
-		scopes:  make(map[*minipy.FuncDef]*minipy.ScopeInfo),
 		modules: modules,
 		rand:    randSeed,
 		epoch:   time.Now(),
@@ -201,12 +197,6 @@ func (th *Thread) callBlocking(fn func() error) error {
 // RunModule executes a parsed module at top level and returns the
 // module environment.
 func (in *Interp) RunModule(mod *minipy.Module) error {
-	// The scope cache is for a def executed over and over within a run
-	// (functions carry their Scope). Keeping it across runs would hold
-	// the AST of every module a long-lived session ever ran.
-	in.scopeMu.Lock()
-	clear(in.scopes)
-	in.scopeMu.Unlock()
 	th := in.MainThread()
 	defer th.Release()
 	return th.execBlock(in.globals, in.globals, mod.Body)
@@ -232,19 +222,6 @@ func (in *Interp) CallFunction(fnName string, args ...Value) (Value, error) {
 	th := in.MainThread()
 	defer th.Release()
 	return th.Call(v, args, minipy.Position{})
-}
-
-// scopeOf returns (computing and caching) the scope info of a
-// function definition.
-func (in *Interp) scopeOf(fd *minipy.FuncDef) *minipy.ScopeInfo {
-	in.scopeMu.Lock()
-	defer in.scopeMu.Unlock()
-	if s, ok := in.scopes[fd]; ok {
-		return s
-	}
-	s := minipy.AnalyzeScope(fd.Params, fd.Body)
-	in.scopes[fd] = s
-	return s
 }
 
 // printTo writes print() output under the output lock so parallel

@@ -496,32 +496,20 @@ func ompEntries() [ompabi.NumEntries]builtinFn {
 			if !callable(combiner) {
 				return nil, argError(ompabi.DeclareReduction, 1, combiner)
 			}
-			// The runtime's callbacks return no error: the combiner and
-			// initializer run on a thread of their own and raise by
-			// panicking, which reduce_combine and reduce_init turn back
-			// into the error (callDeclared).
-			in := th.in
-			call := func(fn Value, args ...Value) any {
-				tth := in.MainThread()
-				defer tth.Release()
-				v, err := tth.Call(fn, args, minipy.Position{})
-				if err != nil {
-					panic(raised{err})
-				}
-				return v
-			}
-			decl := &rt.DeclaredReduction{Ident: ident, Combine: func(out, inVal any) any { return call(combiner, out, inVal) }}
-			if initFn != nil {
-				decl.Identity = func() any { return call(initFn) }
-			}
-			return nil, runtimeErr(in.rt.RegisterReduction(decl))
+			decl := &rt.DeclaredReduction{Ident: ident, Combine: combiner, Identity: initFn}
+			return nil, runtimeErr(th.in.rt.RegisterReduction(decl))
 		},
+		// The combiner and the initializer run on the calling thread, so
+		// with the GIL on they run under the GIL their caller holds, and
+		// what they raise is the caller's exception. In a team member the
+		// generated merge's finally then releases the reduction mutex its
+		// teammates wait on.
 		ompabi.ReduceInit: func(th *Thread, args []Value) (Value, error) {
 			d, err := th.declaredReduction(ompabi.ReduceInit, args[0])
 			if err != nil || d.Identity == nil {
 				return nil, err
 			}
-			return callDeclared(d.Identity)
+			return th.Call(d.Identity, nil, minipy.Position{})
 		},
 		ompabi.ReduceCombine: func(th *Thread, args []Value) (Value, error) {
 			d, err := th.declaredReduction(ompabi.ReduceCombine, args[0])
@@ -529,31 +517,9 @@ func ompEntries() [ompabi.NumEntries]builtinFn {
 				return nil, err
 			}
 			th.ctx.ReductionMerge(d.Ident)
-			return callDeclared(func() any { return d.Combine(args[1], args[2]) })
+			return th.Call(d.Combine, []Value{args[1], args[2]}, minipy.Position{})
 		},
 	}
-}
-
-// raised is the panic a declared reduction's combiner or initializer
-// raises an error by.
-type raised struct{ err error }
-
-func (r raised) Error() string { return r.err.Error() }
-
-// callDeclared calls a callback of a declared reduction, returning what
-// it raised as the error. In a team member too: the generated merge's
-// finally then releases the reduction mutex its teammates wait on.
-func callDeclared(fn func() any) (v Value, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r, ok := p.(raised)
-			if !ok {
-				panic(p)
-			}
-			err = r.err
-		}
-	}()
-	return fn(), nil
 }
 
 // runOn runs fn(args...) on a new thread of team context c: a team

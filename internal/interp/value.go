@@ -645,9 +645,12 @@ func (r *Range) Len() int64 {
 // Function is a user-defined MiniPy function (a closure over its
 // defining environment).
 type Function struct {
-	Name    string
-	Params  []minipy.Param
-	Body    []minipy.Stmt
+	Name   string
+	Params []minipy.Param
+	Body   []minipy.Stmt
+	// Result is a lambda's body, the expression whose value it returns;
+	// a lambda has no Body.
+	Result  minipy.Expr
 	Env     *Env
 	Scope   *minipy.ScopeInfo
 	Globals *Env // module globals of the defining module

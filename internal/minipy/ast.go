@@ -45,7 +45,8 @@ type FuncDef struct {
 	Params     []Param
 	Body       []Stmt
 	Decorators []Expr
-	Returns    Expr // optional "-> type" annotation
+	Returns    Expr       // optional "-> type" annotation
+	Scope      *ScopeInfo // the scope record (Resolve)
 }
 
 // Return is a return statement.
@@ -351,6 +352,7 @@ type Lambda struct {
 	base
 	Params []Param
 	Body   Expr
+	Scope  *ScopeInfo // the scope record (Resolve)
 }
 
 func (*Name) exprNode()      {}

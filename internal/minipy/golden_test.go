@@ -10,6 +10,7 @@ import (
 
 	"github.com/omp4go/omp4go/internal/bench"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/minipy/minipytest"
 )
 
 var updateAST = flag.Bool("update", false, "rewrite testdata/ast/*.golden from the current parser")
@@ -75,9 +76,28 @@ func TestASTGolden(t *testing.T) {
 	}
 }
 
+// TestScopeRecords: after Parse, every def and lambda of every golden
+// source carries the scope record the reference analysis computes, and
+// every construct's bound-outside answer is the reference's.
+func TestScopeRecords(t *testing.T) {
+	for name, src := range goldenSources(t) {
+		mod, err := minipy.Parse(src, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := minipytest.CheckScopes(mod); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if err := minipytest.CheckBoundOutside(mod); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // FuzzParse parses fuzzed source. The property: a *minipy.Error with
 // a position, or a module whose Unparse → Parse → Unparse is a byte
-// fixpoint.
+// fixpoint and whose defs and lambdas carry the reference scope records
+// (TestScopeRecords).
 func FuzzParse(f *testing.F) {
 	srcs := goldenSources(f)
 	names := make([]string, 0, len(srcs))
@@ -100,6 +120,12 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("Parse returned %v (%T), want a positioned *minipy.Error", err, err)
 			}
 			return
+		}
+		if err := minipytest.CheckScopes(mod); err != nil {
+			t.Fatal(err)
+		}
+		if err := minipytest.CheckBoundOutside(mod); err != nil {
+			t.Fatal(err)
 		}
 		out1 := minipy.Unparse(mod)
 		mod2, err := minipy.Parse(out1, "unparsed.py")

@@ -5,8 +5,9 @@ import (
 	"strconv"
 )
 
-// Parse parses MiniPy source into a Module. file is used in error
-// messages only.
+// Parse parses MiniPy source into a Module, every def and lambda of it
+// carrying its scope record (Resolve). file is used in error messages
+// only.
 func Parse(src, file string) (*Module, error) {
 	toks, err := Lex(src)
 	if err != nil {
@@ -20,6 +21,7 @@ func Parse(src, file string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	resolveIn(mod, p.lambdas)
 	return mod, nil
 }
 
@@ -42,13 +44,15 @@ func ParseExprString(src string) (Expr, error) {
 	if p.cur().Kind != EOF {
 		return nil, p.errf("unexpected %s after expression", p.cur())
 	}
+	resolveIn(e, p.lambdas)
 	return e, nil
 }
 
 type parser struct {
-	toks []Token
-	i    int
-	file string
+	toks    []Token
+	i       int
+	file    string
+	lambdas bool // a lambda was parsed
 }
 
 func (p *parser) cur() *Token  { return &p.toks[p.i] }
@@ -721,6 +725,7 @@ func (p *parser) parseTest() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.lambdas = true
 		return &Lambda{base: base{pos}, Params: params, Body: body}, nil
 	}
 	cond, err := p.parseOr()

@@ -21,8 +21,7 @@ func TestScopeAnnotations(t *testing.T) {
     def g(q: int):
         z: int = 1
 `)
-	fd := m.Body[0].(*FuncDef)
-	s := AnalyzeScope(fd.Params, fd.Body)
+	s := m.Body[0].(*FuncDef).Scope
 	got := map[string]string{}
 	for _, a := range s.Annotations {
 		got[a.Name] = strings.TrimPrefix(got[a.Name]+","+a.Type.(*Name).ID, ",")
@@ -36,7 +35,7 @@ func TestScopeAnnotations(t *testing.T) {
 			t.Errorf("annotations of %s = %q, want %q", name, got[name], w)
 		}
 	}
-	if s := AnalyzeScope(nil, nil); s.Annotations != nil {
+	if s := parse(t, "def h(a):\n    return a\n").Body[0].(*FuncDef).Scope; s.Annotations != nil {
 		t.Errorf("a scope without annotations has %v", s.Annotations)
 	}
 }

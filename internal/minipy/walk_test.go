@@ -77,7 +77,8 @@ func declaredNodeTypes(t *testing.T) map[string]bool {
 
 // reachable collects, by reflection over every field, the nodes under v
 // in field order: the enumeration Inspect must agree with, written
-// without naming a single node type.
+// without naming a single node type. A scope record is not followed: it
+// points back into the tree and holds no node of its own.
 func reachable(v reflect.Value, into *[]Node) {
 	switch v.Kind() {
 	case reflect.Interface:
@@ -85,7 +86,7 @@ func reachable(v reflect.Value, into *[]Node) {
 			reachable(v.Elem(), into)
 		}
 	case reflect.Ptr:
-		if v.IsNil() {
+		if v.IsNil() || v.Type() == reflect.TypeFor[*ScopeInfo]() {
 			return
 		}
 		if n, ok := v.Interface().(Node); ok {

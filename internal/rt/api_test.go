@@ -287,7 +287,7 @@ func TestDeclaredReductions(t *testing.T) {
 		t.Fatal("redeclaration should error")
 	}
 	got, ok := r.LookupReduction("strcat")
-	if !ok || got.Combine("a", "b") != "ab" {
+	if !ok || got.Combine.(func(out, in any) any)("a", "b") != "ab" {
 		t.Fatalf("lookup failed: %v %v", got, ok)
 	}
 	if _, ok := r.LookupReduction("nope"); ok {

@@ -8,11 +8,12 @@ import (
 
 // DeclaredReduction is a user-defined reduction registered through
 // the declare reduction directive: a combiner over (out, in) and an
-// identity-producing initializer.
+// identity-producing initializer. They are the language's callables,
+// opaque to the runtime, which keeps them and never calls them.
 type DeclaredReduction struct {
 	Ident    string
-	Combine  func(out, in any) any
-	Identity func() any
+	Combine  any
+	Identity any // nil: none declared
 }
 
 // RegisterReduction installs a user-declared reduction. Redeclaring

@@ -3,21 +3,26 @@ package transform
 import "github.com/omp4go/omp4go/internal/minipy"
 
 // renameInStmts rewrites Name nodes (and the names of nonlocal/global
-// declarations) per the renames map, in place. In the body of a nested
-// FuncDef/Lambda it leaves alone the names that function's parameters
-// rebind (shadowing); the function's decorators and parameter defaults
-// are not rewritten.
-func renameInStmts(body []minipy.Stmt, renames map[string]string) {
+// declarations) per the renames map, in place, and reports whether it
+// renamed any. In the body of a nested FuncDef/Lambda it leaves alone
+// the names that function's parameters rebind (shadowing); the
+// function's decorators and parameter defaults are not rewritten. A
+// nested function or lambda whose body it renames loses its scope
+// record: the function the statements end up in is resolved afterwards,
+// and resolves it again.
+func renameInStmts(body []minipy.Stmt, renames map[string]string) bool {
+	changed := false
 	for _, s := range body {
-		renameIn(s, renames)
+		changed = renameIn(s, renames) || changed
 	}
+	return changed
 }
 
-func renameIn(root minipy.Node, renames map[string]string) {
+func renameIn(root minipy.Node, renames map[string]string) (changed bool) {
 	renameIDs := func(ids []string) {
 		for i, id := range ids {
 			if nn, ok := renames[id]; ok {
-				ids[i] = nn
+				ids[i], changed = nn, true
 			}
 		}
 	}
@@ -25,7 +30,7 @@ func renameIn(root minipy.Node, renames map[string]string) {
 		switch t := n.(type) {
 		case *minipy.Name:
 			if nn, ok := renames[t.ID]; ok {
-				t.ID = nn
+				t.ID, changed = nn, true
 			}
 		case *minipy.Nonlocal:
 			renameIDs(t.Names)
@@ -33,22 +38,23 @@ func renameIn(root minipy.Node, renames map[string]string) {
 			renameIDs(t.Names)
 		case *minipy.AnnAssign:
 			// The annotation names a type, not a variable.
-			renameIn(t.Target, renames)
-			renameIn(t.Value, renames)
+			changed = renameIn(t.Target, renames) || changed
+			changed = renameIn(t.Value, renames) || changed
 			return false
 		case *minipy.FuncDef:
-			if sub := shadowed(renames, t.Params); len(sub) > 0 {
-				renameInStmts(t.Body, sub)
+			if sub := shadowed(renames, t.Params); len(sub) > 0 && renameInStmts(t.Body, sub) {
+				t.Scope, changed = nil, true
 			}
 			return false
 		case *minipy.Lambda:
-			if sub := shadowed(renames, t.Params); len(sub) > 0 {
-				renameIn(t.Body, sub)
+			if sub := shadowed(renames, t.Params); len(sub) > 0 && renameIn(t.Body, sub) {
+				t.Scope, changed = nil, true
 			}
 			return false
 		}
 		return true
 	})
+	return changed
 }
 
 // shadowed removes renames whose names are rebound by params.
@@ -59,17 +65,6 @@ func shadowed(renames map[string]string, params []minipy.Param) map[string]strin
 	}
 	for _, p := range params {
 		delete(out, p.Name)
-	}
-	return out
-}
-
-// collectNames gathers every identifier mentioned in the statements,
-// nested function bodies included. Used by default(none) checking and
-// default(private).
-func collectNames(body []minipy.Stmt) map[string]bool {
-	out := make(map[string]bool)
-	for _, s := range body {
-		minipy.Names(s, out)
 	}
 	return out
 }

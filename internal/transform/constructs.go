@@ -60,17 +60,14 @@ type dataPlan struct {
 // constructs (parallel, task) bind the value as a default parameter
 // of the generated inner function, so each task/region captures at
 // packaging time; inline constructs (for, sections, single) read the
-// shared variable at construct entry. outside is the enclosing scope
-// with the construct excluded (used by default(...) handling); nil
-// falls back to the full function scope.
+// shared variable at construct entry. outside reports the names the
+// enclosing function binds outside the construct (used by default(...)
+// handling).
 func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 	body []minipy.Stmt, pos minipy.Position, asFunction bool,
-	outside *minipy.ScopeInfo) (*dataPlan, error) {
+	outside func(string) bool) (*dataPlan, error) {
 
 	plan := &dataPlan{renames: make(map[string]string), vars: make(map[string]bool)}
-	if outside == nil {
-		outside = ctx.scope
-	}
 	capture := func(priv, shared string) {
 		typ := ctx.declaredType(shared)
 		if asFunction {
@@ -157,13 +154,16 @@ func (tr *transformer) buildDataPlan(ctx *fnCtx, dir *directive.Directive,
 	// default(none/private/firstprivate) applies to variables bound
 	// outside the construct and referenced inside it.
 	if def := dir.Find(directive.ClauseDefault); def != nil && def.Default != directive.DefaultShared {
-		used := collectNames(body)
+		used := map[string]bool{}
+		for _, s := range body {
+			minipy.Names(s, used) // nested function bodies included
+		}
 		var unlisted []string
 		for name := range used {
 			if plan.vars[name] || isGeneratedName(name) || name == "omp" {
 				continue
 			}
-			if !outside.IsLocal(name) {
+			if !outside(name) {
 				continue // not bound in the enclosing function: module global or builtin
 			}
 			unlisted = append(unlisted, name)
@@ -268,46 +268,50 @@ func (tr *transformer) reductionPieces(op, shared, private, typ string, pos mini
 	return init, merge, nil
 }
 
-// shareDecls builds the nonlocal/global declarations for shared
-// variables assigned inside a generated inner function (Fig. 2's
-// `nonlocal pi_value`). outside is the enclosing function's scope
-// with the construct excluded. Names in exclude are implicitly
-// private (worksharing and taskloop iteration variables, OpenMP
-// §2.9.1) and stay plain locals of the inner function even when the
-// enclosing function also binds them — sharing them would make every
-// team member race on one cell.
-func shareDecls(ctx *fnCtx, outside *minipy.ScopeInfo, innerBody []minipy.Stmt,
-	exclude map[string]bool) []minipy.Stmt {
-	inner := minipy.AnalyzeScope(nil, innerBody)
+// outline packages body as a generated inner function, resolves it once,
+// then declares the shared variables it assigns nonlocal or global
+// (Fig. 2's `nonlocal pi_value`) in the body and in the record. outside
+// reports the names the enclosing function binds outside the construct.
+// Names in exclude are implicitly private (worksharing and taskloop
+// iteration variables, OpenMP §2.9.1) and stay plain locals of the inner
+// function even when the enclosing function also binds them — sharing
+// them would make every team member race on one cell.
+func outline(ctx *fnCtx, name string, params []minipy.Param, body []minipy.Stmt,
+	pos minipy.Position, outside func(string) bool, exclude map[string]bool) *minipy.FuncDef {
+	fd := &minipy.FuncDef{Name: name, Params: params, Body: body}
+	fd.P = pos // a typed firstprivate parameter refusing its value raises here
+	minipy.Resolve(fd)
 	var nonlocals, globals []string
-	for _, name := range inner.Locals {
+	for _, name := range fd.Scope.Locals {
 		if isGeneratedName(name) || exclude[name] {
 			continue
 		}
 		switch {
-		case ctx.scope.Globals[name]:
+		case ctx.fd.Scope.Globals[name]:
 			globals = append(globals, name)
-		case outside.IsLocal(name):
+		case outside(name):
 			nonlocals = append(nonlocals, name)
 		}
 		// Names bound only inside the block stay thread-private
 		// locals of the inner function.
 	}
-	var out []minipy.Stmt
+	var decls []minipy.Stmt
 	if len(globals) > 0 {
-		out = append(out, &minipy.Global{Names: globals})
+		decls = append(decls, &minipy.Global{Names: globals})
 	}
 	if len(nonlocals) > 0 {
-		out = append(out, &minipy.Nonlocal{Names: nonlocals})
+		decls = append(decls, &minipy.Nonlocal{Names: nonlocals})
 	}
-	return out
+	fd.Body = append(decls, body...)
+	fd.Scope.Declare(globals, nonlocals)
+	return fd
 }
 
 // wsLoopVarNames collects the iteration variables of the lowered
 // worksharing loops in stmts: the target of the chunk loop under each
 // `while __omp.for_next(b):`, and — for collapsed nests — the
 // per-level variables assigned from the generated unravel index.
-// These are implicitly private per OpenMP, so shareDecls must not
+// These are implicitly private per OpenMP, so outline must not
 // turn them into nonlocal declarations. Nested FuncDefs (inner
 // regions, tasks) are not entered: their loop variables are already
 // locals of their own function.
@@ -376,7 +380,7 @@ func wsLoopVarNames(stmts []minipy.Stmt) map[string]bool {
 // parallel transforms parallel, parallel for, and parallel sections.
 func (tr *transformer) parallel(ctx *fnCtx, dir *directive.Directive, w *minipy.With) ([]minipy.Stmt, error) {
 	pos := w.NodePos()
-	outside := minipy.AnalyzeScopeExcluding(ctx.fd.Params, ctx.fd.Body, w)
+	outside := ctx.fd.Scope.BoundOutside(w.Body)
 
 	var innerBody []minipy.Stmt
 	var err error
@@ -412,12 +416,8 @@ func (tr *transformer) parallel(ctx *fnCtx, dir *directive.Directive, w *minipy.
 	}
 
 	fnBody := append(append(append([]minipy.Stmt{}, plan.preInner...), innerBody...), plan.postInner...)
-	decls := shareDecls(ctx, outside, fnBody, wsLoopVarNames(fnBody))
-	fnBody = append(decls, fnBody...)
-
 	fnName := tr.fresh("parallel")
-	fd := &minipy.FuncDef{Name: fnName, Params: plan.params, Body: fnBody}
-	fd.P = pos // a typed firstprivate parameter refusing its value raises here
+	fd := outline(ctx, fnName, plan.params, fnBody, pos, outside, wsLoopVarNames(fnBody))
 
 	// parallel_run(fn, num_threads, if_set, if_val, label): the label
 	// carries the directive's source line into the runtime's per-region
@@ -536,7 +536,7 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 		return nil, err
 	}
 
-	plan, err := tr.buildDataPlan(ctx, dir, tBody, pos, false, nil)
+	plan, err := tr.buildDataPlan(ctx, dir, tBody, pos, false, ctx.fd.Scope.IsLocal)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +646,7 @@ func (tr *transformer) sections(ctx *fnCtx, dir *directive.Directive,
 	for _, sb := range sectionBodies {
 		all = append(all, sb...)
 	}
-	plan, err := tr.buildDataPlan(ctx, dir, all, pos, false, nil)
+	plan, err := tr.buildDataPlan(ctx, dir, all, pos, false, ctx.fd.Scope.IsLocal)
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +704,7 @@ func (tr *transformer) single(ctx *fnCtx, dir *directive.Directive, w *minipy.Wi
 	if err != nil {
 		return nil, err
 	}
-	plan, err := tr.buildDataPlan(ctx, dir, tBody, pos, false, nil)
+	plan, err := tr.buildDataPlan(ctx, dir, tBody, pos, false, ctx.fd.Scope.IsLocal)
 	if err != nil {
 		return nil, err
 	}
@@ -848,7 +848,7 @@ func (tr *transformer) ordered(ctx *fnCtx, w *minipy.With) ([]minipy.Stmt, error
 // inner function submitted to the team's shared queue (§III-E).
 func (tr *transformer) task(ctx *fnCtx, dir *directive.Directive, w *minipy.With) ([]minipy.Stmt, error) {
 	pos := w.NodePos()
-	outside := minipy.AnalyzeScopeExcluding(ctx.fd.Params, ctx.fd.Body, w)
+	outside := ctx.fd.Scope.BoundOutside(w.Body)
 
 	tBody, err := tr.block(ctx, w.Body)
 	if err != nil {
@@ -861,12 +861,8 @@ func (tr *transformer) task(ctx *fnCtx, dir *directive.Directive, w *minipy.With
 
 	fnBody := append(append([]minipy.Stmt{}, plan.preInner...), tBody...)
 	fnBody = append(fnBody, plan.postInner...)
-	decls := shareDecls(ctx, outside, fnBody, nil)
-	fnBody = append(decls, fnBody...)
-
 	fnName := tr.fresh("task")
-	fd := &minipy.FuncDef{Name: fnName, Params: plan.params, Body: fnBody}
-	fd.P = pos // a typed firstprivate parameter refusing its value raises here
+	fd := outline(ctx, fnName, plan.params, fnBody, pos, outside, nil)
 
 	var ifSet, ifVal minipy.Expr = boolLit(false), boolLit(false)
 	if cl := dir.Find(directive.ClauseIf); cl != nil {
@@ -965,7 +961,7 @@ func (tr *transformer) taskgroup(ctx *fnCtx, w *minipy.With) ([]minipy.Stmt, err
 // generated chunk function with a [lo, hi) range of linear indices.
 func (tr *transformer) taskloop(ctx *fnCtx, dir *directive.Directive, w *minipy.With) ([]minipy.Stmt, error) {
 	pos := w.NodePos()
-	outside := minipy.AnalyzeScopeExcluding(ctx.fd.Params, ctx.fd.Body, w)
+	outside := ctx.fd.Scope.BoundOutside(w.Body)
 
 	if len(w.Body) != 1 {
 		return nil, errAt(pos, "taskloop requires a single for loop, found %d statements", len(w.Body))
@@ -1037,10 +1033,6 @@ func (tr *transformer) taskloop(ctx *fnCtx, dir *directive.Directive, w *minipy.
 
 	fnBody := append(append([]minipy.Stmt{}, plan.preInner...), chunkLoop)
 	fnBody = append(fnBody, plan.postInner...)
-	// The taskloop iteration variable is implicitly private to each
-	// chunk task (OpenMP §2.9.1), exactly like a worksharing loop var.
-	decls := shareDecls(ctx, outside, fnBody, map[string]bool{lv: true})
-	fnBody = append(decls, fnBody...)
 
 	params := []minipy.Param{
 		{Name: loVar}, {Name: hiVar},
@@ -1049,8 +1041,9 @@ func (tr *transformer) taskloop(ctx *fnCtx, dir *directive.Directive, w *minipy.
 	}
 	params = append(params, plan.params...)
 	fnName := tr.fresh("taskloop")
-	fd := &minipy.FuncDef{Name: fnName, Params: params, Body: fnBody}
-	fd.P = pos // a typed firstprivate parameter refusing its value raises here
+	// The taskloop iteration variable is implicitly private to each
+	// chunk task (OpenMP §2.9.1), exactly like a worksharing loop var.
+	fd := outline(ctx, fnName, params, fnBody, pos, outside, map[string]bool{lv: true})
 
 	var gsExpr, ntExpr minipy.Expr = intLit(0), intLit(0)
 	if cl := dir.Find(directive.ClauseGrainsize); cl != nil {

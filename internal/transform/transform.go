@@ -41,7 +41,7 @@ type Result struct {
 func Module(mod *minipy.Module) (*Result, error) {
 	res := &Result{Compile: make(map[string]bool), Dumps: make(map[string]string)}
 	tr := &transformer{res: res}
-	if err := tr.stmts(mod.Body, nil); err != nil {
+	if err := tr.stmts(mod.Body); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -62,18 +62,16 @@ func errAt(pos minipy.Position, format string, args ...any) error {
 }
 
 // stmts walks a statement list looking for decorated functions.
-// enclosing is the scope info of the function containing these
-// statements (nil at module level).
-func (tr *transformer) stmts(body []minipy.Stmt, enclosing *minipy.ScopeInfo) error {
+func (tr *transformer) stmts(body []minipy.Stmt) error {
 	for _, s := range body {
-		if err := tr.stmt(s, enclosing); err != nil {
+		if err := tr.stmt(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (tr *transformer) stmt(s minipy.Stmt, enclosing *minipy.ScopeInfo) error {
+func (tr *transformer) stmt(s minipy.Stmt) error {
 	switch t := s.(type) {
 	case *minipy.FuncDef:
 		opts, decorated, rest := ompDecorator(t.Decorators)
@@ -92,30 +90,35 @@ func (tr *transformer) stmt(s minipy.Stmt, enclosing *minipy.ScopeInfo) error {
 			return nil
 		}
 		// Non-decorated functions may still contain decorated inner
-		// functions.
-		scope := minipy.AnalyzeScope(t.Params, t.Body)
-		return tr.stmts(t.Body, scope)
-	case *minipy.If:
-		if err := tr.stmts(t.Body, enclosing); err != nil {
+		// functions; one that does changed, and is resolved again.
+		n := len(tr.res.Functions)
+		if err := tr.stmts(t.Body); err != nil {
 			return err
 		}
-		return tr.stmts(t.Else, enclosing)
+		if len(tr.res.Functions) > n {
+			minipy.Resolve(t)
+		}
+	case *minipy.If:
+		if err := tr.stmts(t.Body); err != nil {
+			return err
+		}
+		return tr.stmts(t.Else)
 	case *minipy.While:
-		return tr.stmts(t.Body, enclosing)
+		return tr.stmts(t.Body)
 	case *minipy.For:
-		return tr.stmts(t.Body, enclosing)
+		return tr.stmts(t.Body)
 	case *minipy.With:
-		return tr.stmts(t.Body, enclosing)
+		return tr.stmts(t.Body)
 	case *minipy.Try:
-		if err := tr.stmts(t.Body, enclosing); err != nil {
+		if err := tr.stmts(t.Body); err != nil {
 			return err
 		}
 		for _, h := range t.Handlers {
-			if err := tr.stmts(h.Body, enclosing); err != nil {
+			if err := tr.stmts(h.Body); err != nil {
 				return err
 			}
 		}
-		return tr.stmts(t.Final, enclosing)
+		return tr.stmts(t.Final)
 	}
 	return nil
 }
@@ -162,10 +165,11 @@ func ompDecorator(decorators []minipy.Expr) (FuncOptions, bool, []minipy.Expr) {
 	return opts, found, rest
 }
 
-// fnCtx carries per-function transformation state.
+// fnCtx carries per-function transformation state. fd.Scope is the
+// record of the function as written: a function is resolved again only
+// once its rewrite is done.
 type fnCtx struct {
-	fd    *minipy.FuncDef
-	scope *minipy.ScopeInfo // scope of the function being transformed
+	fd *minipy.FuncDef
 	// threadprivate names declared in this function.
 	threadprivate map[string]bool
 	// loopVar is the active ordered-loop variable, when inside a
@@ -174,16 +178,13 @@ type fnCtx struct {
 }
 
 func (tr *transformer) transformFunction(fd *minipy.FuncDef, opts FuncOptions) error {
-	ctx := &fnCtx{
-		fd:            fd,
-		scope:         minipy.AnalyzeScope(fd.Params, fd.Body),
-		threadprivate: make(map[string]bool),
-	}
+	ctx := &fnCtx{fd: fd, threadprivate: make(map[string]bool)}
 	body, err := tr.block(ctx, fd.Body)
 	if err != nil {
 		return err
 	}
 	fd.Body = body
+	minipy.Resolve(fd)
 	return nil
 }
 
@@ -286,16 +287,13 @@ func (tr *transformer) oneStmt(ctx *fnCtx, s minipy.Stmt) ([]minipy.Stmt, error)
 	case *minipy.FuncDef:
 		// Nested function: its body is a new scope; directives inside
 		// it are transformed against that scope.
-		inner := &fnCtx{
-			fd:            t,
-			scope:         minipy.AnalyzeScope(t.Params, t.Body),
-			threadprivate: ctx.threadprivate,
-		}
+		inner := &fnCtx{fd: t, threadprivate: ctx.threadprivate}
 		body, err := tr.block(inner, t.Body)
 		if err != nil {
 			return nil, err
 		}
 		t.Body = body
+		minipy.Resolve(t)
 		return []minipy.Stmt{t}, nil
 	}
 	return []minipy.Stmt{s}, nil
@@ -404,7 +402,7 @@ func typedDecl(target, typ string, v minipy.Expr) minipy.Stmt {
 // declared name is declared the same (typedDecl).
 func (ctx *fnCtx) declaredType(name string) string {
 	typ := ""
-	for _, ann := range ctx.scope.Annotations {
+	for _, ann := range ctx.fd.Scope.Annotations {
 		t, ok := ann.Type.(*minipy.Name)
 		if ann.Name != name || !ok || t.ID != "int" && t.ID != "float" {
 			continue

@@ -7,10 +7,13 @@ import (
 
 	"github.com/omp4go/omp4go/internal/interp"
 	"github.com/omp4go/omp4go/internal/minipy"
+	"github.com/omp4go/omp4go/internal/minipy/minipytest"
 	"github.com/omp4go/omp4go/internal/rt"
 )
 
-// runOMP parses, transforms, and executes src, returning stdout.
+// runOMP parses, transforms, and executes src, returning stdout. Every
+// def and lambda of the transformed module must carry the record the
+// reference scope analysis computes from its body.
 func runOMP(t *testing.T, src string) string {
 	t.Helper()
 	return runOMPLayer(t, src, rt.LayerAtomic)
@@ -24,6 +27,9 @@ func runOMPLayer(t *testing.T, src string, layer rt.Layer) string {
 	}
 	if _, err := Module(mod); err != nil {
 		t.Fatalf("transform: %v", err)
+	}
+	if err := minipytest.CheckScopes(mod); err != nil {
+		t.Fatalf("scope record after transform: %v\n%s", err, minipy.Unparse(mod))
 	}
 	var buf bytes.Buffer
 	in := interp.New(interp.Options{Stdout: &buf, Layer: layer,

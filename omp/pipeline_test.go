@@ -228,6 +228,44 @@ func TestDeclaredReductionRaisesInTeam(t *testing.T) {
 	}
 }
 
+// TestDeclaredReductionWithGIL: with the GIL on, a declared reduction's
+// combiner and initializer, called through reduce_combine and
+// reduce_init or by the merges of a parallel for, return. They used to
+// run on a thread of their own, which waited for the GIL its caller
+// held.
+func TestDeclaredReductionWithGIL(t *testing.T) {
+	src := "from omp4py import *\ndef comb(a, b):\n    return a + b\ndef init():\n    return 0\n" +
+		"__omp.declare_reduction('m', comb, init)\n" +
+		"print(__omp.reduce_combine('m', 1, 2), __omp.reduce_init('m'))\n" +
+		"@omp\ndef f(n):\n" +
+		"    omp(\"declare reduction(s : omp_out + omp_in) initializer(omp_priv = 0)\")\n    x = 0\n" +
+		"    with omp(\"parallel for num_threads(2) reduction(s:x)\"):\n" +
+		"        for i in range(n):\n            x += i\n    return x\n"
+	for _, mode := range []Mode{ModePure, ModeHybrid} {
+		var out bytes.Buffer
+		done := make(chan error, 1)
+		var got any
+		go func() {
+			p, err := Load(src, "gil.py", mode, WithGIL(), WithStdout(&out))
+			if err == nil {
+				got, err = p.Call("f", 10)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: a declared reduction under the GIL did not return", mode)
+		}
+		if out.String() != "3 0\n" || got != int64(45) {
+			t.Errorf("%v: printed %q and f(10) = %v, want \"3 0\\n\" and 45", mode, out.String(), got)
+		}
+	}
+}
+
 func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
 	type callCase struct {
 		name, call, excType string
