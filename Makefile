@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on gofmt drift in the packages of this module (the
+# list loc counts; benchmark/ is its own module).
 vet:
 	$(GO) vet ./...
+	@out=$$($(GO) list -f '{{.Dir}}' ./... | while read -r d; do gofmt -l $$d/*.go; done); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # run-table runs "go test $(1)" once per row of the table $(2), each
 # row being 'package:-run pattern:timeout'. -count=1 defeats the test

@@ -31,6 +31,9 @@ func taskSchedEnv(mode string) func(string) string {
 // between runs of the *same* configuration; the partition itself is
 // identical (see rt's TestStaticBoundsMatchesLoopBounds and the
 // compile tier's kernel tests for the exact-partition guarantees).
+// Every kernels-on run of a program with static worksharing loops runs
+// some of them as kernels; qsort and bfs, and every kernels-off run,
+// run none.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	for _, name := range numericalNames {
 		b := Registry[name]
@@ -38,20 +41,23 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 			for _, threads := range []int{1, 4, 8} {
 				cfg := RunConfig{Threads: threads, Args: smallArgs[name], Getenv: taskSchedEnv(sched)}
 
-				on := cfg
-				run := func(label string, c RunConfig, mode Mode) (float64, bool) {
+				run := func(label string, c RunConfig, mode Mode, wantKernels bool) (float64, bool) {
+					c.CollectMetrics = true
 					res, err := Run(mode, name, c)
 					if err != nil {
 						t.Errorf("%s/%s/%dt/%s: %v", name, label, threads, sched, err)
 						return 0, false
 					}
+					if n := res.Metrics.KernelLoops; n > 0 != wantKernels {
+						t.Errorf("%s/%s/%dt/%s: %d kernel loops, want kernels %v", name, label, threads, sched, n, wantKernels)
+					}
 					return res.Checksum, true
 				}
-				kOn, ok1 := run("kernels-on", on, CompiledDT)
+				kOn, ok1 := run("kernels-on", cfg, CompiledDT, name != "qsort" && name != "bfs")
 				off := cfg
 				off.KernelsOff = true
-				kOff, ok2 := run("kernels-off", off, CompiledDT)
-				hyb, ok3 := run("hybrid", cfg, Hybrid)
+				kOff, ok2 := run("kernels-off", off, CompiledDT, false)
+				hyb, ok3 := run("hybrid", cfg, Hybrid, false)
 				if !ok1 || !ok2 || !ok3 {
 					continue
 				}

@@ -36,24 +36,8 @@ func (c *compiler) compileFunc(fd *minipy.FuncDef, parent *scopeCtx) (*funcCode,
 
 func (c *compiler) compileStmts(sc *scopeCtx, body []minipy.Stmt) (stmtFn, error) {
 	fns := make([]stmtFn, 0, len(body))
-	for k := 0; k < len(body); k++ {
-		// Transform-lowered worksharing loops with a compile-time
-		// static schedule compile to a runtime-aware kernel replacing
-		// the bounds/init/while prefix (kernel.go); anything that
-		// doesn't match falls through to statement-at-a-time
-		// compilation of the interp-bridge lowering.
-		if c.kernels {
-			kf, consumed, err := c.tryCompileKernel(sc, body, k)
-			if err != nil {
-				return nil, err
-			}
-			if kf != nil {
-				fns = append(fns, kf)
-				k += consumed - 1
-				continue
-			}
-		}
-		f, err := c.compileStmt(sc, body[k])
+	for _, s := range body {
+		f, err := c.compileStmt(sc, s)
 		if err != nil {
 			return nil, err
 		}
@@ -668,6 +652,11 @@ func (c *compiler) lazy(sc *scopeCtx, body []minipy.Stmt) func() (stmtFn, error)
 
 func (c *compiler) compileWhile(sc *scopeCtx, t *minipy.While) (stmtFn, error) {
 	if c.kernels {
+		if t.Workshare != nil {
+			if kf, err := c.compileKernel(sc, t); kf != nil || err != nil {
+				return kf, err
+			}
+		}
 		if prog := c.lowerLoop(sc, t); prog != nil {
 			slow := c.lazy(sc, []minipy.Stmt{t})
 			return func(fr *Frame) (flow, error) {

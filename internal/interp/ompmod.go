@@ -583,13 +583,6 @@ func (th *Thread) declaredReduction(e ompabi.Entry, v Value) (*rt.DeclaredReduct
 	return d, nil
 }
 
-// WrapRuntimeError converts an internal/rt error into the
-// interpreter's error domain, exactly as the __omp bridge entry
-// points do (misuse → RuntimeError, budget kills passed through
-// uncatchable). Exported for internal/compile's loop kernels, which
-// call rt.Context methods without going through the bridge.
-func WrapRuntimeError(err error) error { return runtimeErr(err) }
-
 // runtimeErr converts runtime errors into MiniPy exceptions; nil stays
 // nil.
 func runtimeErr(err error) error {

@@ -66,8 +66,22 @@ type If struct {
 // While is a while loop.
 type While struct {
 	base
-	Cond Expr
-	Body []Stmt
+	Cond      Expr
+	Body      []Stmt
+	Workshare *Workshare // the lowered worksharing loop this is, if any
+}
+
+// Workshare is the record the transform leaves on the
+// `while __omp.for_next(b):` it lowers a for directive to, whose body
+// is the one chunk loop. Parse never sets it and Unparse ignores it; the
+// compiled tier reads it instead of matching the lowered text.
+type Workshare struct {
+	Bounds      string  // the bounds variable for_bounds assigns
+	Kind        string  // the schedule kind passed to for_init
+	Chunk       Expr    // for_init's chunk argument itself (a NoneLit for the default)
+	Ordered     bool    // an ordered clause
+	LastPrivate bool    // a lastprivate clause: for_last follows the loop
+	Vars        []*Name // the loop variables: the chunk loop's target, or the per-level unravel targets under collapse
 }
 
 // For is a for-in loop.

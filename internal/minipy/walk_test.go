@@ -77,8 +77,9 @@ func declaredNodeTypes(t *testing.T) map[string]bool {
 
 // reachable collects, by reflection over every field, the nodes under v
 // in field order: the enumeration Inspect must agree with, written
-// without naming a single node type. A scope record is not followed: it
-// points back into the tree and holds no node of its own.
+// without naming a single node type. A scope or worksharing record is
+// not followed: it points back into the tree and holds no node of its
+// own.
 func reachable(v reflect.Value, into *[]Node) {
 	switch v.Kind() {
 	case reflect.Interface:
@@ -86,7 +87,7 @@ func reachable(v reflect.Value, into *[]Node) {
 			reachable(v.Elem(), into)
 		}
 	case reflect.Ptr:
-		if v.IsNil() || v.Type() == reflect.TypeFor[*ScopeInfo]() {
+		if v.IsNil() || v.Type() == reflect.TypeFor[*ScopeInfo]() || v.Type() == reflect.TypeFor[*Workshare]() {
 			return
 		}
 		if n, ok := v.Interface().(Node); ok {

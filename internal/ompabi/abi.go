@@ -2,9 +2,8 @@
 // code: the entry points of the __omp module, each with its
 // parameters, their kinds and whether the call blocks. It is the one
 // place an entry is spelled. internal/transform builds its calls with
-// Call, internal/interp registers one implementation per Entry and
-// checks arity from the same specs, and internal/compile recognizes
-// the worksharing protocol with Match.
+// Call, and internal/interp registers one implementation per Entry and
+// checks arity from the same specs.
 package ompabi
 
 import (
@@ -193,30 +192,3 @@ func Call(e Entry, args ...minipy.Expr) *minipy.Call {
 		Args: args,
 	}
 }
-
-// Match recognizes x as a call __omp.name(...) of an entry. It is
-// syntactic: whether the __omp name resolves to the runtime module is
-// the caller's question.
-func Match(x minipy.Expr) (Entry, *minipy.Call, bool) {
-	call, ok := x.(*minipy.Call)
-	if !ok {
-		return 0, nil, false
-	}
-	attr, ok := call.Fn.(*minipy.Attribute)
-	if !ok {
-		return 0, nil, false
-	}
-	if base, ok := attr.X.(*minipy.Name); !ok || base.ID != Module {
-		return 0, nil, false
-	}
-	e, ok := byName[attr.Name]
-	return e, call, ok
-}
-
-var byName = func() map[string]Entry {
-	m := make(map[string]Entry, NumEntries)
-	for e := range NumEntries {
-		m[Specs[e].Name] = e
-	}
-	return m
-}()

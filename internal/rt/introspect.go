@@ -118,9 +118,9 @@ type MemberInfo struct {
 // RegionInfo is the introspection view of one in-flight parallel
 // region.
 type RegionInfo struct {
-	RegionID    int32        `json:"region_id"`
-	Size        int          `json:"size"`
-	Outstanding int64        `json:"outstanding_tasks"`
+	RegionID    int32 `json:"region_id"`
+	Size        int   `json:"size"`
+	Outstanding int64 `json:"outstanding_tasks"`
 	// QueuedTasks counts the unclaimed tasks the region's scheduler
 	// holds anywhere — per-member deques, the steal scheduler's
 	// overflow list, or the list schedulers' shared queue — so it is

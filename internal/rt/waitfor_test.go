@@ -74,11 +74,17 @@ func TestIntrospectDependWaitFor(t *testing.T) {
 	}
 
 	// Hold the stall until the watchdog reports it, then check the
-	// report names the dependence wait with its age.
+	// report names the dependence wait with its age. Member 1's barrier
+	// wait can trip a barrier-kind report first, while member 0's
+	// depend wait is still under the threshold; the report that member
+	// 0 trips is the one of kind depend.
 	var found *StallMember
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && found == nil {
 		for _, rep := range r.StallReports() {
+			if rep.Kind != "depend" {
+				continue
+			}
 			for i, sm := range rep.Waiting {
 				if sm.Wait == "depend" {
 					found = &rep.Waiting[i]

@@ -4,12 +4,12 @@ import "github.com/omp4go/omp4go/internal/minipy"
 
 // renameInStmts rewrites Name nodes (and the names of nonlocal/global
 // declarations) per the renames map, in place, and reports whether it
-// renamed any. In the body of a nested FuncDef/Lambda it leaves alone
-// the names that function's parameters rebind (shadowing); the
-// function's decorators and parameter defaults are not rewritten. A
-// nested function or lambda whose body it renames loses its scope
-// record: the function the statements end up in is resolved afterwards,
-// and resolves it again.
+// renamed any. The parameter defaults of a nested FuncDef/Lambda take
+// every rename, since they evaluate in the enclosing scope; in its body
+// it leaves alone the names that function's parameters rebind
+// (shadowing); its decorators are not rewritten. A nested function or
+// lambda whose body it renames loses its scope record: the function the
+// statements end up in is resolved afterwards, and resolves it again.
 func renameInStmts(body []minipy.Stmt, renames map[string]string) bool {
 	changed := false
 	for _, s := range body {
@@ -23,6 +23,15 @@ func renameIn(root minipy.Node, renames map[string]string) (changed bool) {
 		for i, id := range ids {
 			if nn, ok := renames[id]; ok {
 				ids[i], changed = nn, true
+			}
+		}
+	}
+	// Parameter defaults evaluate in the enclosing scope: they take
+	// every rename.
+	renameDefaults := func(params []minipy.Param) {
+		for _, p := range params {
+			if p.Default != nil {
+				changed = renameIn(p.Default, renames) || changed
 			}
 		}
 	}
@@ -42,11 +51,13 @@ func renameIn(root minipy.Node, renames map[string]string) (changed bool) {
 			changed = renameIn(t.Value, renames) || changed
 			return false
 		case *minipy.FuncDef:
+			renameDefaults(t.Params)
 			if sub := shadowed(renames, t.Params); len(sub) > 0 && renameInStmts(t.Body, sub) {
 				t.Scope, changed = nil, true
 			}
 			return false
 		case *minipy.Lambda:
+			renameDefaults(t.Params)
 			if sub := shadowed(renames, t.Params); len(sub) > 0 && renameIn(t.Body, sub) {
 				t.Scope, changed = nil, true
 			}

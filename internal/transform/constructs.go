@@ -308,9 +308,7 @@ func outline(ctx *fnCtx, name string, params []minipy.Param, body []minipy.Stmt,
 }
 
 // wsLoopVarNames collects the iteration variables of the lowered
-// worksharing loops in stmts: the target of the chunk loop under each
-// `while __omp.for_next(b):`, and — for collapsed nests — the
-// per-level variables assigned from the generated unravel index.
+// worksharing loops in stmts, as their records name them (Workshare.Vars).
 // These are implicitly private per OpenMP, so outline must not
 // turn them into nonlocal declarations. Nested FuncDefs (inner
 // regions, tasks) are not entered: their loop variables are already
@@ -318,42 +316,15 @@ func outline(ctx *fnCtx, name string, params []minipy.Param, body []minipy.Stmt,
 func wsLoopVarNames(stmts []minipy.Stmt) map[string]bool {
 	vars := map[string]bool{}
 	var walk func(ss []minipy.Stmt)
-	markChunkLoop := func(f *minipy.For) {
-		if n, ok := f.Target.(*minipy.Name); ok && !isGeneratedName(n.ID) {
-			vars[n.ID] = true
-		}
-		// Collapsed form: an __omp_idx_N = __omp.unravel(...) prefix
-		// followed by lv_d = __omp_idx_N[d] per-level assignments.
-		for _, s := range f.Body {
-			as, ok := s.(*minipy.Assign)
-			if !ok || len(as.Targets) != 1 {
-				break
-			}
-			tgt, ok := as.Targets[0].(*minipy.Name)
-			if !ok {
-				break
-			}
-			if isGeneratedName(tgt.ID) {
-				continue // the unravel index itself
-			}
-			idx, ok := as.Value.(*minipy.Index)
-			if !ok {
-				break
-			}
-			base, ok := idx.X.(*minipy.Name)
-			if !ok || !isGeneratedName(base.ID) {
-				break
-			}
-			vars[tgt.ID] = true
-		}
-	}
 	walk = func(ss []minipy.Stmt) {
 		for _, s := range ss {
 			switch t := s.(type) {
 			case *minipy.While:
-				if e, _, ok := ompabi.Match(t.Cond); ok && e == ompabi.ForNext && len(t.Body) == 1 {
-					if f, ok := t.Body[0].(*minipy.For); ok {
-						markChunkLoop(f)
+				if t.Workshare != nil {
+					for _, v := range t.Workshare.Vars {
+						if !isGeneratedName(v.ID) {
+							vars[v.ID] = true
+						}
 					}
 				}
 				walk(t.Body)
@@ -542,16 +513,12 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 	}
 
 	// Schedule clause. A loop without one gets the explicit "static"
-	// default rather than an empty kind: the lowered for_init call is
-	// the compiled tier's only schedule metadata, and a literal
-	// "static" + literal chunk is what lets it select the
-	// precomputed-bounds kernel instead of the per-chunk bridge
-	// (internal/compile/kernel.go). The runtime resolves "" and
-	// "static" identically, so interp-tier behavior is unchanged.
-	var kindExpr minipy.Expr = strLit("static")
+	// default, which the runtime resolves as it does "" and which lets
+	// the record select the compiled tier's static kernel.
+	kind := "static"
 	var chunkExpr minipy.Expr = noneLit()
 	if cl := dir.Find(directive.ClauseSchedule); cl != nil {
-		kindExpr = strLit(cl.Sched.String())
+		kind = cl.Sched.String()
 		if cl.Expr != "" {
 			chunkExpr, err = parseClauseExpr(cl, pos)
 			if err != nil {
@@ -562,12 +529,19 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 	nowait := dir.Has(directive.ClauseNowait)
 
 	bVar := tr.fresh("bounds")
+	ws := &minipy.Workshare{Bounds: bVar, Kind: kind, Chunk: chunkExpr,
+		Ordered: ordered, LastPrivate: len(plan.lastPriv) > 0}
+	// A bad bound raises at the user's range(...), a bad chunk at the
+	// directive.
+	boundsCall := ompabi.Call(ompabi.ForBounds, tripletArgs...)
+	boundsCall.P = loops[0].Iter.NodePos()
+	initCall := ompabi.Call(ompabi.ForInit, nameRef(bVar), strLit(kind), chunkExpr,
+		boolLit(ordered), boolLit(nowait))
+	initCall.P = pos
 	var out []minipy.Stmt
 	out = append(out, plan.preOuter...)
 	out = append(out, plan.preInner...)
-	out = append(out, assignStmt(bVar, ompabi.Call(ompabi.ForBounds, tripletArgs...)))
-	out = append(out, exprStmt(ompabi.Call(ompabi.ForInit, nameRef(bVar), kindExpr, chunkExpr,
-		boolLit(ordered), boolLit(nowait))))
+	out = append(out, assignStmt(bVar, boundsCall), exprStmt(initCall))
 
 	var chunkLoop minipy.Stmt
 	if collapse == 1 {
@@ -577,7 +551,9 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 			&minipy.Index{X: nameRef(bVar), I: intLit(1)},
 			&minipy.Index{X: nameRef(bVar), I: intLit(2)},
 		}}
-		chunkLoop = &minipy.For{Target: nameRef(loopVars[0]), Iter: iter, Body: tBody}
+		target := nameRef(loopVars[0])
+		ws.Vars = []*minipy.Name{target}
+		chunkLoop = &minipy.For{Target: target, Iter: iter, Body: tBody}
 	} else {
 		// Linear chunk with unraveling into the loop variables.
 		linVar := tr.fresh("lin")
@@ -586,8 +562,9 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 			assignStmt(idxVar, ompabi.Call(ompabi.Unravel, nameRef(bVar), nameRef(linVar))),
 		}
 		for d, lv := range loopVars {
-			inner = append(inner, assignStmt(lv,
-				&minipy.Index{X: nameRef(idxVar), I: intLit(int64(d))}))
+			as := assignStmt(lv, &minipy.Index{X: nameRef(idxVar), I: intLit(int64(d))})
+			ws.Vars = append(ws.Vars, as.Targets[0].(*minipy.Name))
+			inner = append(inner, as)
 		}
 		inner = append(inner, tBody...)
 		iter := &minipy.Call{Fn: nameRef("range"), Args: []minipy.Expr{
@@ -598,8 +575,9 @@ func (tr *transformer) forConstruct(ctx *fnCtx, dir *directive.Directive,
 	}
 
 	out = append(out, &minipy.While{
-		Cond: ompabi.Call(ompabi.ForNext, nameRef(bVar)),
-		Body: []minipy.Stmt{chunkLoop},
+		Cond:      ompabi.Call(ompabi.ForNext, nameRef(bVar)),
+		Body:      []minipy.Stmt{chunkLoop},
+		Workshare: ws,
 	})
 	for _, lp := range plan.lastPriv {
 		out = append(out, &minipy.If{

@@ -310,3 +310,77 @@ func TestBuiltinErrorPositionsAgreeAcrossModes(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedDefaultTakesPrivateCopy: a parameter default of a lambda or
+// def nested in a construct evaluates in the construct's scope, so it
+// reads the task's firstprivate copy of j, not the shared j the loop has
+// left at 3 by the time the tasks run (which summed 24).
+func TestNestedDefaultTakesPrivateCopy(t *testing.T) {
+	src := `
+from omp4py import *
+
+@omp
+def f():
+    got = []
+    with omp("parallel num_threads(2)"):
+        with omp("single"):
+            for j in range(4):
+                with omp("task firstprivate(j)"):
+                    add = lambda a, b=j: a + b
+                    def mul(a, b=j):
+                        return a * b
+                    with omp("critical"):
+                        got.append(add(0) + mul(1))
+    return sum(got)
+`
+	for _, mode := range []Mode{ModePure, ModeHybrid, ModeCompiled, ModeCompiledDT} {
+		p, err := Load(src, "defaults.py", mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		v, err := p.Call("f")
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if v != int64(12) {
+			t.Errorf("%v: f() = %v, want 12 (twice 0+1+2+3)", mode, v)
+		}
+	}
+}
+
+// TestWorksharingBoundErrorsAgreeAcrossModes: a bad bound of a
+// worksharing loop raises at the user's range(...) and a bad chunk at
+// the directive, with one exception type and message in every mode —
+// CompiledDT's static kernel included.
+func TestWorksharingBoundErrorsAgreeAcrossModes(t *testing.T) {
+	cases := []struct {
+		name, n, step, sched string
+		excType, msg         string
+		line, col            int
+	}{
+		// A literal static chunk: the loop is a kernel in CompiledDT.
+		{"float stop", "3.5", "1", "4", "TypeError", "for_bounds() argument 'stop' must be int, not float", 7, 23},
+		{"zero step", "8", "0", "4", "ValueError", "range() arg 3 must not be zero", 7, 23},
+		{"zero chunk", "8", "1", "k", "ValueError", "chunk size must be positive", 6, 5},
+	}
+	for _, tc := range cases {
+		src := "from omp4py import *\n@omp\ndef f():\n    n = " + tc.n + "\n    k = 0\n" +
+			"    with omp(\"parallel for num_threads(2) schedule(static, " + tc.sched + ")\"):\n" +
+			"        for i in range(0, n, " + tc.step + "):\n            pass\n    return 0\n"
+		for _, mode := range []Mode{ModePure, ModeHybrid, ModeCompiled, ModeCompiledDT} {
+			p, err := Load(src, "bounds.py", mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, mode, err)
+			}
+			_, err = p.Call("f")
+			var pe *interp.PyError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s %v: error %v is not a PyError", tc.name, mode, err)
+			}
+			if pe.Type != tc.excType || pe.Msg != tc.msg || pe.Pos.Line != tc.line || pe.Pos.Col+1 != tc.col {
+				t.Errorf("%s %v: %s: %s at line %d col %d, want %s: %s at line %d col %d",
+					tc.name, mode, pe.Type, pe.Msg, pe.Pos.Line, pe.Pos.Col+1, tc.excType, tc.msg, tc.line, tc.col)
+			}
+		}
+	}
+}
