@@ -32,8 +32,8 @@ func taskSchedEnv(mode string) func(string) string {
 // identical (see rt's TestStaticBoundsMatchesLoopBounds and the
 // compile tier's kernel tests for the exact-partition guarantees).
 // Every kernels-on run of a program with static worksharing loops runs
-// some of them as kernels; qsort and bfs, and every kernels-off run,
-// run none.
+// some of them as kernels; qsort and bfs, and every kernels-off or
+// Hybrid run, run none.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	for _, name := range numericalNames {
 		b := Registry[name]

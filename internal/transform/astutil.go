@@ -26,8 +26,6 @@ func renameIn(root minipy.Node, renames map[string]string) (changed bool) {
 			}
 		}
 	}
-	// Parameter defaults evaluate in the enclosing scope: they take
-	// every rename.
 	renameDefaults := func(params []minipy.Param) {
 		for _, p := range params {
 			if p.Default != nil {
