@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,8 +161,10 @@ func agree(t *testing.T, src string, args ...interp.Value) outcome {
 }
 
 // nestGen generates typed loop nests whose three forms must agree bit
-// for bit: ints stay far below 2**53, divisors are nonzero, and in the
-// worksharing template an iteration writes only its own elements and
+// for bit: the int expressions float contexts read pass 2**53 (and
+// wrap past 2**63) on the way, which only int arithmetic gets right,
+// while every value that reaches a float stays small; divisors are
+// nonzero, and in the worksharing template an iteration writes only its own elements and
 // reads only lists no iteration writes. A trusted declaration (an
 // untyped, call-free initializer; see TestDeclarationTrust for where
 // the compiled forms then coerce or raise and the interpreter does not)
@@ -197,7 +200,8 @@ type nestGen struct {
 	loops         int
 	// noElem marks an int expression that a float context will
 	// evaluate. It keeps int-list elements out of it: the IR wants one
-	// storage kind per list, and c is read as int storage elsewhere.
+	// storage kind per list, and c is read as int storage elsewhere;
+	// an atom there is now and then a product above 2**53 instead.
 	noElem bool
 	// noCall keeps calls and conditional expressions out of an
 	// expression: the initializer of a declaration that is to be
@@ -248,6 +252,9 @@ func (g *nestGen) iatom() string {
 		if !g.noElem {
 			return "c[" + g.idx() + "]"
 		}
+		// An int product above 2**53 (wrapping past 2**63 for large
+		// loop variables), which float64 would round.
+		return fmt.Sprintf("(%s * 9007199254740993 %% 1009)", g.ivars[g.r.Intn(len(g.ivars))])
 	}
 	return g.ivars[g.r.Intn(len(g.ivars))]
 }
@@ -284,11 +291,6 @@ func (g *nestGen) iexpr(d int) string {
 	case 9:
 		return fmt.Sprintf("int(%s + 0.5)", g.fexpr(d-1))
 	case 10:
-		if g.noElem {
-			// On the float path -i is -0.0 at i = 0, where the
-			// interpreter's int negation gives 0.
-			return fmt.Sprintf("(0 - %s)", l)
-		}
 		return fmt.Sprintf("(-%s)", l)
 	}
 	return fmt.Sprintf("(%s if %s else %s)", l, g.cond(d-1), r)
@@ -587,6 +589,61 @@ func TestIRDifferentialLoopNests(t *testing.T) {
 	t.Logf("%d loops of %d programs ran as IR", ran, seeds)
 	if ran < int64(3*seeds) {
 		t.Fatalf("only %d loops of %d programs ran as IR", ran, seeds)
+	}
+}
+
+// TestIRIntModInFloatContext: in the inner loop of the sched-dyn
+// workload's tri.py, s += ((i*31 + j*17 + seed) % 97) * 0.5, the int
+// expression is computed on the int path and converted once — its %
+// is ModI, not ModF (math.Mod) on converted operands. Both loops of the
+// nest lower.
+func TestIRIntModInFloatContext(t *testing.T) {
+	src, err := os.ReadFile("../../benchmark/programs/tri.py")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := minipy.Parse(string(src), "tri.py")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transform.Module(mod); err != nil {
+		t.Fatal(err)
+	}
+	in := interp.New(interp.Options{Layer: rt.LayerAtomic, Getenv: func(string) string { return "" }})
+	defer in.Runtime().Shutdown()
+	if err := Install(in, mod, Options{Typed: true, Kernels: KernelsOn}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	progs := map[*irProg]bool{}
+	irEntered = func(p *irProg) {
+		mu.Lock()
+		progs[p] = true
+		mu.Unlock()
+	}
+	defer func() { irEntered = nil }()
+	if err := in.RunModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	// 0.5 * the sum over i < 40, j <= i of (31i + 17j + 5) % 97.
+	if v, err := in.CallFunction("bench_main", int64(2), int64(40), int64(5)); err != nil || v != 19745.5 {
+		t.Fatalf("bench_main(2, 40, 5) = %v, %v", v, err)
+	}
+	modI, modF := int32(binIndex(binI, "%")), int32(binIndex(binF, "%"))
+	loops, intMods := 0, 0
+	for p := range progs {
+		loops += p.loops
+		for _, ins := range p.code {
+			switch {
+			case ins.op == opBinI && ins.d == modI:
+				intMods++
+			case ins.op == opBinF && ins.d == modF:
+				t.Errorf("a float %% is left in the lowered nest")
+			}
+		}
+	}
+	if len(progs) != 1 || loops != 2 || intMods != 1 {
+		t.Errorf("%d programs, %d loops, %d int %%s; want 1, 2 and 1", len(progs), loops, intMods)
 	}
 }
 

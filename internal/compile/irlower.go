@@ -10,8 +10,10 @@ import (
 // This file lowers an annotated loop nest to an irProg. The lowering
 // makes the same type-directed decisions as the closure compiler in
 // texpr.go — an expression is computed on the int or the float path
-// exactly where compileInt / compileFloat / compileCond would be used
-// — so the two forms agree bit for bit; what differs is the leaves.
+// exactly where compileInt / compileFloat / compileCond would be used,
+// and an operator of static type int (intArith) on the int path even
+// under a float context, converted once — so the two forms agree bit
+// for bit; what differs is the leaves.
 // Where the closure chain falls back to a boxed operation, the IR
 // either proves it unnecessary under an entry guard (a list the nest
 // only subscripts becomes a hoisted view, a boxed name it only reads
@@ -323,6 +325,9 @@ var irCmp = map[string][4]irOp{
 // holding the value.
 func (b *irBuilder) num(e minipy.Expr, float bool) int32 {
 	pos, k := e.NodePos(), kindOf(float)
+	if float && intArith(e, b.sc.types) {
+		return b.def(opItoF, true, b.num(e, false), 0, 0, pos)
+	}
 	switch t := e.(type) {
 	case *minipy.IntLit:
 		if float {
@@ -391,7 +396,7 @@ func (b *irBuilder) binOp(t *minipy.BinOp, float bool) (int32, bool) {
 	pos, k := t.NodePos(), kindOf(float)
 	product := func(e minipy.Expr) *minipy.BinOp {
 		m, _ := e.(*minipy.BinOp)
-		if m == nil || m.Op != "*" {
+		if m == nil || m.Op != "*" || intArith(m, b.sc.types) {
 			return nil
 		}
 		return m

@@ -13,7 +13,9 @@ import (
 // int/float annotations (§III-F, §IV). There is one compiler for the
 // two unboxed paths, compileNum, instantiated per kind; what differs
 // between an int and a float context is written down once, in the
-// kind's descriptor.
+// kind's descriptor. An operator of static type int (intArith) is
+// computed on the int path wherever it appears, as Python computes it,
+// and a float context converts its value once, as Cython's C does.
 
 var nativeMath1 = map[string]func(float64) float64{
 	"sqrt": math.Sqrt, "sin": math.Sin, "cos": math.Cos, "tan": math.Tan,
@@ -180,6 +182,16 @@ func (c *compiler) compileInt(sc *scopeCtx, e minipy.Expr) (intFn, error) {
 // subexpression it cannot specialize falls back to the boxed path with
 // a coercion at the boundary.
 func compileNum[T int64 | float64](c *compiler, sc *scopeCtx, d *numKind[T], e minipy.Expr) (numFn[T], error) {
+	if !d.isInt && intArith(e, sc.types) {
+		xf, err := compileNum(c, sc, intKind, e)
+		if err != nil {
+			return nil, err
+		}
+		return func(fr *Frame) (T, error) {
+			x, err := xf(fr)
+			return T(x), err
+		}, nil
+	}
 	switch t := e.(type) {
 	case *minipy.IntLit:
 		v := T(t.V)

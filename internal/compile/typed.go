@@ -323,6 +323,20 @@ func exprType(e minipy.Expr, types *typeEnv) valType {
 	return tBoxed
 }
 
+// intArith reports whether e is an operator of static type int. Both
+// typed executors compute such an expression on the int path even
+// where a float context reads it, and convert its value once: Python's
+// int64 arithmetic, which float64 does not reproduce above 2**53 nor
+// at zero (-i is 0, not -0.0), and which spares % a trip through
+// math.Mod.
+func intArith(e minipy.Expr, types *typeEnv) bool {
+	switch e.(type) {
+	case *minipy.BinOp, *minipy.UnaryOp:
+		return exprType(e, types) == tInt
+	}
+	return false
+}
+
 // binOpType gives the result type of an arithmetic operator. Two
 // Python facts make the float rules strong: true division always
 // yields a float (or raises TypeError), and arithmetic with a float

@@ -3,11 +3,13 @@ package omp
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/omp4go/omp4go/internal/interp"
+	"github.com/omp4go/omp4go/internal/minipy"
 )
 
 const piProgram = `
@@ -380,6 +382,63 @@ func TestWorksharingBoundErrorsAgreeAcrossModes(t *testing.T) {
 			if pe.Type != tc.excType || pe.Msg != tc.msg || pe.Pos.Line != tc.line || pe.Pos.Col+1 != tc.col {
 				t.Errorf("%s %v: %s: %s at line %d col %d, want %s: %s at line %d col %d",
 					tc.name, mode, pe.Type, pe.Msg, pe.Pos.Line, pe.Pos.Col+1, tc.excType, tc.msg, tc.line, tc.col)
+			}
+		}
+	}
+}
+
+// TestIntArithmeticAgreesAcrossModes: an int-typed operator that a
+// float context reads is computed as Python computes it, with int64
+// arithmetic, in every mode. CompiledDT used to compute the whole float
+// expression in float64, so products above 2**53 lost their low bits,
+// % by zero raised the float message and -0 was -0.0; it ran both its
+// typed executors that way (kernels on: the loop IR; off: the closure
+// chain).
+func TestIntArithmeticAgreesAcrossModes(t *testing.T) {
+	kernelsOff := WithEnv(func(k string) string {
+		if k == "OMP4GO_COMPILE_KERNELS" {
+			return "off"
+		}
+		return ""
+	})
+	configs := []struct {
+		name string
+		mode Mode
+		opts []ProgramOption
+	}{
+		{"pure", ModePure, nil}, {"hybrid", ModeHybrid, nil}, {"compiled", ModeCompiled, nil},
+		{"compiled-dt", ModeCompiledDT, nil}, {"compiled-dt kernels off", ModeCompiledDT, []ProgramOption{kernelsOff}},
+	}
+	cases := []struct {
+		name, expr string
+		n, k       int
+		want       any // the float result, or the *interp.PyError raised
+	}{
+		{"product above 2**53", "((i * k + 123456789123) % 97) * 0.5", 1000, 90000000070001, 24023.0},
+		{"modulo by zero", "(i % k) * 0.5", 4, 0,
+			&interp.PyError{Type: "ZeroDivisionError", Msg: "integer division or modulo by zero", Pos: minipy.Position{Line: 8, Col: 24}}},
+		{"negated zero", "math.atan2(-i * 1.0, -1.0)", 1, 0, math.Pi},
+	}
+	for _, tc := range cases {
+		src := "import math\nfrom omp4py import *\n@omp\ndef f(n: int, k: int) -> float:\n    total: float = 0.0\n" +
+			"    with omp(\"parallel for reduction(+:total) num_threads(2)\"):\n" +
+			"        for i in range(n):\n            total += " + tc.expr + "\n    return total\n"
+		for _, cfg := range configs {
+			p, err := Load(src, "int.py", cfg.mode, cfg.opts...)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, cfg.name, err)
+			}
+			v, err := p.Call("f", tc.n, tc.k)
+			if want, ok := tc.want.(*interp.PyError); ok {
+				var pe *interp.PyError
+				if !errors.As(err, &pe) || pe.Type != want.Type || pe.Msg != want.Msg || pe.Pos.Line != want.Pos.Line || pe.Pos.Col != want.Pos.Col {
+					t.Errorf("%s, %s: got %v, %v; want %s: %s at line %d col %d",
+						tc.name, cfg.name, v, err, want.Type, want.Msg, want.Pos.Line, want.Pos.Col+1)
+				}
+				continue
+			}
+			if err != nil || v != tc.want {
+				t.Errorf("%s, %s: got %v, %v; want %v", tc.name, cfg.name, v, err, tc.want)
 			}
 		}
 	}
